@@ -24,7 +24,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "perfbench"
-BUILD_TYPE = "Release"
+BUILD_TYPE = "RelWithDebInfo"
 
 
 def die(msg):
@@ -33,9 +33,11 @@ def die(msg):
 
 
 def source_digest():
-    """sha256 over the simulator and benchmark sources (the checkout may
-    not be a git repository, so this identifies the code measured)."""
+    """sha256 over the top-level build file and the simulator and
+    benchmark sources (the checkout may not be a git repository, so
+    this identifies the code measured)."""
     h = hashlib.sha256()
+    h.update((ROOT / "CMakeLists.txt").read_bytes())
     for base in (ROOT / "src", BENCH):
         for p in sorted(base.rglob("*")):
             if p.is_file() and p.suffix in (".cc", ".h", ".txt", ".py"):
@@ -98,8 +100,6 @@ def main():
     ap.add_argument("--seed", required=True, type=int)
     ap.add_argument("--seconds", required=True, type=int)
     ap.add_argument("--trace", required=True, type=int, choices=(0, 1))
-    ap.add_argument("--threads", type=int, default=0,
-                    help="replica workers (default: min(2, host threads))")
     args = ap.parse_args()
 
     if not (ROOT / "src" / "core" / "scheduler.h").is_file():
@@ -125,8 +125,6 @@ def main():
     cmd = [str(binary), "--workload", args.workload, "--seed",
            str(args.seed), "--seconds", str(args.seconds), "--trace",
            str(args.trace)]
-    if args.threads:
-        cmd += ["--threads", str(args.threads)]
     with subprocess.Popen(cmd, cwd=ROOT) as proc:
         try:
             return proc.wait()

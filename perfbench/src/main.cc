@@ -26,7 +26,7 @@ usage(const char *why)
 {
     std::cerr << "perfbench: " << why
               << "\nusage: perfbench --workload NAME --seed N --seconds S "
-                 "--trace 0|1 [--threads T] [--trace-out PATH]\n";
+                 "--trace 0|1 [--trace-out PATH]\n";
     std::exit(2);
 }
 
@@ -77,8 +77,6 @@ main(int argc, char **argv)
             have_seconds = true;
         else if (a == "--trace")
             opt.trace = parseUint(v, "--trace") != 0;
-        else if (a == "--threads")
-            opt.threads = unsigned(parseUint(v, "--threads"));
         else if (a == "--trace-out")
             opt.trace_path = v;
         else

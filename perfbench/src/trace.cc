@@ -45,7 +45,8 @@ SpanLog::write(const std::string &path) const
             << ",\"ph\":\"X\",\"pid\":1,\"tid\":" << s.tid
             << ",\"ts\":" << s.start_us << ",\"dur\":" << s.dur_us
             << ",\"args\":{\"id\":" << s.id << ",\"parent\":" << s.parent
-            << ",\"request\":" << s.request << "}}"
+            << ",\"request\":" << s.request
+            << ",\"requests\":" << s.requests << "}}"
             << (i + 1 < spans_.size() ? ",\n" : "\n");
     }
     out << "]}\n";
@@ -55,7 +56,7 @@ SpanLog::write(const std::string &path) const
 
 ScopedSpan::ScopedSpan(SpanLog &log, std::string name,
                        std::uint64_t parent, std::uint64_t request,
-                       std::uint32_t tid)
+                       std::uint32_t tid, std::uint64_t requests)
     : log_(log), start_(Clock::now())
 {
     if (!log_.enabled())
@@ -64,6 +65,7 @@ ScopedSpan::ScopedSpan(SpanLog &log, std::string name,
     span_.id = log_.nextId();
     span_.parent = parent;
     span_.request = request;
+    span_.requests = requests;
     span_.tid = tid;
 }
 

@@ -38,7 +38,10 @@ class SpanLog
         std::string name;
         std::uint64_t id = 0;
         std::uint64_t parent = 0; ///< span that caused this one (0 = root)
-        std::uint64_t request = 0; ///< request id shared by a request's spans
+        /** Requests the span covers: ids [request, request + requests).
+         *  A request keeps its id across all its spans. */
+        std::uint64_t request = 0;
+        std::uint64_t requests = 0;
         std::uint32_t tid = 0;     ///< worker slot the span ran on
         double start_us = 0.0;     ///< since the log was created
         double dur_us = 0.0;
@@ -77,7 +80,8 @@ class ScopedSpan
 {
   public:
     ScopedSpan(SpanLog &log, std::string name, std::uint64_t parent,
-               std::uint64_t request, std::uint32_t tid);
+               std::uint64_t request, std::uint32_t tid,
+               std::uint64_t requests = 0);
     ~ScopedSpan();
 
     ScopedSpan(const ScopedSpan &) = delete;

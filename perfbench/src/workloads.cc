@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <sstream>
 
@@ -321,14 +322,22 @@ struct Pass
     std::vector<ReplicaResult> replicas; ///< in the order served
     double wall_s = 0.0;
     double busy_s = 0.0; ///< summed over replicas
+    std::vector<double> setup_s; ///< each set-up job's time
     std::uint64_t completed = 0;
     std::uint64_t sent = 0;
 };
 
-/** Serve replicas @p which (indices into s.replicas) over @p sweep. */
+/**
+ * Serve replicas @p which (indices into s.replicas) over @p sweep.
+ * @p setups more jobs run @p set_up (which returns its own time) beside
+ * the replicas, spread evenly among them, so repeated set-ups see the
+ * same host conditions over the same span as the replicas do.
+ */
 Pass
 runPass(const Setup &s, const std::vector<std::size_t> &which,
-        const core::ParallelSweep &sweep, SpanLog &log)
+        const core::ParallelSweep &sweep, SpanLog &log,
+        std::size_t setups = 0,
+        const std::function<double()> &set_up = nullptr)
 {
     // Request ids: a request keeps one id across all its spans.
     std::vector<std::uint64_t> first_id(s.replicas.size() + 1, 1);
@@ -339,22 +348,39 @@ runPass(const Setup &s, const std::vector<std::size_t> &which,
         first_id[i + 1] = first_id[i] + n;
     }
 
+    // Job j serves replica which[jobs[j]]; kSetUpJob marks a set-up.
+    constexpr std::size_t kSetUpJob = ~std::size_t(0);
+    std::vector<std::size_t> jobs;
+    std::size_t placed = 0;
+    for (std::size_t k = 0; k < which.size(); ++k) {
+        jobs.push_back(k);
+        for (; placed < (k + 1) * setups / which.size(); ++placed)
+            jobs.push_back(kSetUpJob);
+    }
+
     Pass p;
     const Clock::time_point t0 = Clock::now();
+    std::vector<ReplicaResult> done;
     {
         ScopedSpan pass_span(log, "workload", 0, 0, threadSlot());
-        p.replicas = sweep.map<ReplicaResult>(
-            which.size(), [&](std::size_t k) {
-                const std::size_t i = which[k];
+        done = sweep.map<ReplicaResult>(
+            jobs.size(), [&](std::size_t j) {
+                if (jobs[j] == kSetUpJob) {
+                    ReplicaResult setup_job;
+                    setup_job.busy_s = set_up();
+                    return setup_job;
+                }
+                const std::size_t i = which[jobs[j]];
                 const Replica &rep = s.replicas[i];
                 ReplicaResult rr;
                 const Clock::time_point r0 = Clock::now();
-                ScopedSpan rspan(log, "replica", pass_span.id(), 0,
-                                 threadSlot());
+                ScopedSpan rspan(log, "replica", pass_span.id(),
+                                 first_id[i], threadSlot(),
+                                 first_id[i + 1] - first_id[i]);
                 std::uint64_t id = first_id[i];
                 for (const auto &reqs : rep.serves) {
                     ScopedSpan sspan(log, "serve", rspan.id(), id,
-                                     threadSlot());
+                                     threadSlot(), reqs.size());
                     rr.serves.push_back(s.sched->serve(reqs, rep.opt));
                     id += reqs.size();
                 }
@@ -363,6 +389,12 @@ runPass(const Setup &s, const std::vector<std::size_t> &which,
             });
     }
     p.wall_s = secondsSince(t0);
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+        if (jobs[j] == kSetUpJob)
+            p.setup_s.push_back(done[j].busy_s);
+        else
+            p.replicas.push_back(std::move(done[j]));
+    }
     for (const ReplicaResult &rr : p.replicas) {
         p.busy_s += rr.busy_s;
         for (const core::ServeStats &st : rr.serves) {
@@ -678,19 +710,22 @@ runWorkload(const std::string &name, const RunOptions &opt)
         res.failures.push_back(what);
     };
 
-    // --- set-up: timed several times (median), the last one is kept --
-    constexpr int kSetups = 5;
+    // --- set-up: timed kSetups times, setup_s is the median ----------
+    // The first set-up builds what the run uses. The others run as
+    // jobs of the first pass, beside its replicas, so the median sees
+    // the same host conditions as the timed region: on a shared host
+    // the speed drifts over seconds, and back-to-back set-ups would
+    // all land in one phase of it.
+    constexpr std::size_t kSetups = 11;
     std::vector<double> setup_s;
-    std::string setup_list;
-    Setup s;
-    for (int i = 0; i < kSetups; ++i) {
+    const Clock::time_point setup_t0 = Clock::now();
+    const Setup s = setUp(kind, opt);
+    setup_s.push_back(secondsSince(setup_t0));
+    const auto set_up_again = [&] {
         const Clock::time_point t0 = Clock::now();
-        Setup fresh = setUp(kind, opt);
-        setup_s.push_back(secondsSince(t0));
-        setup_list += " " + fmt(setup_s.back(), 3);
-        s = std::move(fresh);
-    }
-    res.notes.push_back("set-ups (s):" + setup_list);
+        const Setup again = setUp(kind, opt);
+        return secondsSince(t0);
+    };
     const unsigned threads = opt.threads ? opt.threads : defaultThreads();
     const core::ParallelSweep sweep(threads);
 
@@ -708,7 +743,17 @@ runWorkload(const std::string &name, const RunOptions &opt)
     for (std::size_t i = 0; i < n_rep; ++i)
         all[i] = i;
     const Clock::time_point t_start = Clock::now();
-    const Pass first = runPass(s, all, sweep, off);
+    const Pass first =
+        runPass(s, all, sweep, off, kSetups - 1, set_up_again);
+    setup_s.insert(setup_s.end(), first.setup_s.begin(),
+                   first.setup_s.end());
+    std::string setup_list;
+    double pass_setup_s = 0.0; // set-up jobs' share of the first pass
+    for (double t : first.setup_s)
+        pass_setup_s += t;
+    for (double t : setup_s)
+        setup_list += " " + fmt(t, 3);
+    res.notes.push_back("set-ups (s):" + setup_list);
     std::vector<std::uint64_t> replica_fp;
     res.sim_fingerprint = 0x5eed;
     for (const ReplicaResult &rr : first.replicas) {
@@ -752,7 +797,9 @@ runWorkload(const std::string &name, const RunOptions &opt)
     const double timed_s = opt.trace ? first.wall_s : secondsSince(t_start);
     res.notes.push_back("timed region " + fmt(timed_s, 3) + " s: " +
                         std::to_string(first.sent) + " requests on " +
-                        std::to_string(n_rep) + " replicas, then " +
+                        std::to_string(n_rep) + " replicas and " +
+                        std::to_string(first.setup_s.size()) +
+                        " set-ups, then " +
                         std::to_string(replays) + " replica replays, " +
                         std::to_string(threads) + " thread(s)");
     // Requests per wall second of a fully busy worker pool: the
@@ -1016,8 +1063,8 @@ runWorkload(const std::string &name, const RunOptions &opt)
         {"prefix.hit_tok_frac",
          prompt_tokens ? double(prefix_hit) / double(prompt_tokens) : 0.0,
          "ratio"},
-        {"sweep.parallel_eff", first.busy_s / (first.wall_s * threads),
-         "ratio"},
+        {"sweep.parallel_eff",
+         (first.busy_s + pass_setup_s) / (first.wall_s * threads), "ratio"},
     };
     if (!opt.trace_path.empty() && !traced.write(opt.trace_path))
         fail("cannot write span file " + opt.trace_path);

@@ -77,16 +77,21 @@ void
 assertFail(const char *cond, const char *file, int line,
            const char *fmt, ...)
 {
-    std::fprintf(stderr, "panic: assertion '%s' failed at %s:%d",
+    std::fprintf(stderr, "panic: assertion '%s' failed at %s:%d: ",
                  cond, file, line);
-    if (fmt && fmt[0] != '\0') {
-        std::fprintf(stderr, ": ");
-        va_list args;
-        va_start(args, fmt);
-        std::vfprintf(stderr, fmt, args);
-        va_end(args);
-    }
+    va_list args;
+    va_start(args, fmt);
+    std::vfprintf(stderr, fmt, args);
+    va_end(args);
     std::fprintf(stderr, "\n");
+    std::abort();
+}
+
+void
+assertFail(const char *cond, const char *file, int line)
+{
+    std::fprintf(stderr, "panic: assertion '%s' failed at %s:%d\n",
+                 cond, file, line);
     std::abort();
 }
 

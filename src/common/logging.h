@@ -43,6 +43,9 @@ namespace detail {
 [[noreturn]] void assertFail(const char *cond, const char *file, int line,
                              const char *fmt, ...)
     __attribute__((format(printf, 4, 5)));
+
+/** CAMLLM_ASSERT without a message. */
+[[noreturn]] void assertFail(const char *cond, const char *file, int line);
 } // namespace detail
 
 /**
@@ -53,8 +56,9 @@ namespace detail {
 #define CAMLLM_ASSERT(cond, ...)                                          \
     do {                                                                  \
         if (!(cond)) {                                                    \
-            ::camllm::detail::assertFail(#cond, __FILE__, __LINE__,       \
-                                         "" __VA_ARGS__);                 \
+            ::camllm::detail::assertFail(#cond, __FILE__,                 \
+                                         __LINE__ __VA_OPT__(, )          \
+                                             __VA_ARGS__);                \
         }                                                                 \
     } while (0)
 

@@ -1,5 +1,6 @@
 #include "bus.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/logging.h"
@@ -8,10 +9,16 @@ namespace camllm::flash {
 
 void
 ChannelBus::request(BusPriority prio, std::uint64_t bytes,
-                    std::function<void()> done, const char *label)
+                    std::function<void()> done, const char *label,
+                    std::uint64_t slice_bytes)
 {
     CAMLLM_ASSERT(bytes > 0, "zero-byte bus transaction");
-    Txn txn{next_seq_++, bytes, std::move(done), label};
+    // One sequence number covers all of a transaction's slices: no
+    // other request can be numbered between them, so FIFO arbitration
+    // at each slice boundary is decided exactly as it would be for
+    // per-slice requests.
+    Txn txn{next_seq_++, bytes, slice_bytes ? slice_bytes : bytes,
+            std::move(done), label};
     if (prio == BusPriority::High)
         high_.push_back(std::move(txn));
     else
@@ -40,28 +47,39 @@ ChannelBus::tryStart()
         take_high = high_.front().seq < low_.front().seq;
     }
     BusPriority prio = take_high ? BusPriority::High : BusPriority::Low;
-    auto &queue = take_high ? high_ : low_;
-    Txn txn = std::move(queue.front());
-    queue.pop_front();
+    // The transaction stays at the head of its queue until its last
+    // slice completes; only this slice's share is granted now.
+    Txn &txn = take_high ? high_.front() : low_.front();
+    const std::uint64_t bytes = std::min(txn.slice, txn.left);
+    txn.left -= bytes;
 
     busy_now_ = true;
     Tick start = eq_.now();
-    Tick end = start + grantTime(txn.bytes);
+    Tick end = start + grantTime(bytes);
     busy_.addBusy(start, end);
     if (prio == BusPriority::High)
-        bytes_high_ += txn.bytes;
+        bytes_high_ += bytes;
     else
-        bytes_low_ += txn.bytes;
+        bytes_low_ += bytes;
     ++grants_;
 
     if (trace_)
-        trace_(GrantTrace{start, end, prio, txn.bytes, txn.label});
+        trace_(GrantTrace{start, end, prio, bytes, txn.label});
 
-    eq_.schedule(end, [this, done = std::move(txn.done)]() mutable {
-        busy_now_ = false;
+    eq_.schedule(end, [this, take_high] { finishGrant(take_high); });
+}
+
+void
+ChannelBus::finishGrant(bool high)
+{
+    busy_now_ = false;
+    auto &queue = high ? high_ : low_;
+    if (queue.front().left == 0) {
+        std::function<void()> done = std::move(queue.front().done);
+        queue.pop_front();
         done();
-        tryStart();
-    });
+    }
+    tryStart();
 }
 
 } // namespace camllm::flash

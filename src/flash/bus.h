@@ -9,6 +9,11 @@
  * non-preemptive: once a transfer starts it occupies the bus to the
  * end, which is exactly why unsliced page reads block read-compute
  * requests (Figure 6 of the paper).
+ *
+ * A sliced page is one transaction that stays at the head of its
+ * queue and is granted one slice at a time. The bus re-arbitrates at
+ * every slice boundary, and grant statistics and traces count slices;
+ * the transaction's completion runs once, after its last slice.
  */
 
 #ifndef CAMLLM_FLASH_BUS_H
@@ -62,11 +67,14 @@ class ChannelBus
     }
 
     /**
-     * Request a bus grant for @p bytes. @p done runs when the transfer
-     * completes. @p label is only used for tracing.
+     * Request the bus for @p bytes, moved in grants of at most
+     * @p slice_bytes (0 = one grant for the whole transfer). @p done
+     * runs once, when the last grant completes. @p label is only used
+     * for tracing.
      */
     void request(BusPriority prio, std::uint64_t bytes,
-                 std::function<void()> done, const char *label = "");
+                 std::function<void()> done, const char *label = "",
+                 std::uint64_t slice_bytes = 0);
 
     /** Install a per-grant trace hook (nullptr to disable). */
     void setTraceHook(TraceHook hook) { trace_ = std::move(hook); }
@@ -104,13 +112,15 @@ class ChannelBus
   private:
     struct Txn
     {
-        std::uint64_t seq;
-        std::uint64_t bytes;
+        std::uint64_t seq;   ///< arrival order, for FIFO arbitration
+        std::uint64_t left;  ///< bytes not yet granted
+        std::uint64_t slice; ///< bytes per grant
         std::function<void()> done;
         const char *label;
     };
 
     void tryStart();
+    void finishGrant(bool high);
 
     EventQueue &eq_;
     double bytes_per_ns_;

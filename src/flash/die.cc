@@ -1,7 +1,5 @@
 #include "die.h"
 
-#include <memory>
-
 #include "common/logging.h"
 
 namespace camllm::flash {
@@ -62,13 +60,17 @@ DieModel::advanceRc()
         eq_.scheduleIn(dur, [this] {
             if (offline_)
                 return;
-            RcPageJob job = *rc_cache_reg_;
+            rc_out_.push_back(*rc_cache_reg_);
             rc_cache_reg_.reset();
             core_busy_ = false;
             ++pages_computed_;
             // The result waits in the output buffer for a bus grant.
-            bus_.request(BusPriority::High, job.out_bytes,
-                         [this, job] {
+            // The High queue is FIFO, so this die's grants complete in
+            // the order its results were queued.
+            bus_.request(BusPriority::High, rc_out_.back().out_bytes,
+                         [this] {
+                             const RcPageJob job = rc_out_.front();
+                             rc_out_.pop_front();
                              if (!offline_)
                                  cbs_.rc_result_delivered(job);
                          },
@@ -171,26 +173,15 @@ DieModel::drainFailedRead(std::uint32_t attempt, std::uint32_t retries)
     eq_.scheduleIn(params_.timing.t_reg_move, [this, attempt, retries] {
         if (offline_)
             return;
-        const ReadPageJob job = *rd_reading_;
-        const std::uint32_t slice = params_.timing.slice_bytes;
-        const std::uint32_t n_slices =
-            job.sliced ? (job.bytes + slice - 1) / slice : 1;
-        auto remaining = std::make_shared<std::uint32_t>(n_slices);
-        std::uint32_t left = job.bytes;
-        for (std::uint32_t i = 0; i < n_slices; ++i) {
-            const std::uint32_t chunk =
-                job.sliced ? std::min(slice, left) : job.bytes;
-            left -= chunk;
-            bus_.request(BusPriority::Low, chunk,
-                         [this, remaining, attempt, retries] {
-                             if (--*remaining != 0 || offline_)
-                                 return;
-                             if (cbs_.retry_drained)
-                                 cbs_.retry_drained(*rd_reading_);
-                             startReadSense(attempt + 1, retries);
-                         },
-                         "retry-slice");
-        }
+        bus_.request(BusPriority::Low, rd_reading_->bytes,
+                     [this, attempt, retries] {
+                         if (offline_)
+                             return;
+                         if (cbs_.retry_drained)
+                             cbs_.retry_drained(*rd_reading_);
+                         startReadSense(attempt + 1, retries);
+                     },
+                     "retry-slice", sliceBytes(*rd_reading_));
     });
 }
 
@@ -219,29 +210,18 @@ DieModel::advanceRead()
     // Slice Control is enabled, or as one monolithic grant otherwise.
     if (rd_cache_reg_ && !rd_draining_) {
         rd_draining_ = true;
-        const ReadPageJob job = *rd_cache_reg_;
-        const std::uint32_t slice = params_.timing.slice_bytes;
-        std::uint32_t n_slices =
-            job.sliced ? (job.bytes + slice - 1) / slice : 1;
-        auto remaining = std::make_shared<std::uint32_t>(n_slices);
-        std::uint32_t left = job.bytes;
-        for (std::uint32_t i = 0; i < n_slices; ++i) {
-            std::uint32_t chunk =
-                job.sliced ? std::min(slice, left) : job.bytes;
-            left -= chunk;
-            bus_.request(BusPriority::Low, chunk,
-                         [this, remaining] {
-                             if (--*remaining == 0 && !offline_) {
-                                 ReadPageJob done = *rd_cache_reg_;
-                                 rd_cache_reg_.reset();
-                                 rd_draining_ = false;
-                                 ++pages_read_;
-                                 cbs_.read_delivered(done);
-                                 advanceRead();
-                             }
-                         },
-                         "read-slice");
-        }
+        bus_.request(BusPriority::Low, rd_cache_reg_->bytes,
+                     [this] {
+                         if (offline_)
+                             return;
+                         ReadPageJob done = *rd_cache_reg_;
+                         rd_cache_reg_.reset();
+                         rd_draining_ = false;
+                         ++pages_read_;
+                         cbs_.read_delivered(done);
+                         advanceRead();
+                     },
+                     "read-slice", sliceBytes(*rd_cache_reg_));
     }
 }
 

@@ -111,6 +111,13 @@ class DieModel
      *  the fault model tracks it, the uniform spec draw otherwise. */
     std::uint32_t drawFor(std::uint32_t plane);
 
+    /** Bus grant size for @p job's page: one slice under Slice
+     *  Control, the whole page (0) otherwise. */
+    std::uint64_t sliceBytes(const ReadPageJob &job) const
+    {
+        return job.sliced ? params_.timing.slice_bytes : 0;
+    }
+
     /** Plane ordinary reads are served from (the read-share plane
      *  when the die has more than one). */
     std::uint32_t readPlane() const
@@ -132,6 +139,7 @@ class DieModel
     std::optional<RcPageJob> rc_cache_reg_;
     bool rc_moving_ = false; ///< data->cache move in flight
     bool core_busy_ = false;
+    std::deque<RcPageJob> rc_out_; ///< results awaiting their bus grant
 
     // read plane pipeline
     std::optional<ReadPageJob> rd_reading_;

@@ -108,6 +108,13 @@ FaultModel::drawRetries()
     return climbLadder(ucp_, uniform_ber_);
 }
 
+void
+FaultModel::setWearSource(const WeightPlacement *placement)
+{
+    wear_ = placement;
+    odds_.assign(placement ? placement->planeCount() : 0, PlaneOdds{});
+}
+
 std::uint32_t
 FaultModel::drawRetriesForPlane(std::uint32_t channel,
                                 std::uint32_t die_in_channel,
@@ -120,16 +127,20 @@ FaultModel::drawRetriesForPlane(std::uint32_t channel,
     const double pe = wear_->planeWear(idx);
     const double age = wear_->planeAge(idx);
     const double frac = wear_->planeFreshFraction(idx);
-    double ucp0 = ucpAt(age, pe);
-    double ber0 = ecc::retentionBer(age, pe);
-    if (frac > 0.0) {
-        // A read hits a scrubbed (fresh) page with probability frac;
-        // mix the aged and fresh failure rates accordingly.
-        ucp0 = (1.0 - frac) * ucp0 + frac * ucpAt(0.0, pe);
-        ber0 = (1.0 - frac) * ber0 +
-               frac * ecc::retentionBer(0.0, pe);
+    PlaneOdds &o = odds_[idx];
+    if (!o.known || o.pe != pe || o.age != age || o.fresh != frac) {
+        double ucp0 = ucpAt(age, pe);
+        double ber0 = ecc::retentionBer(age, pe);
+        if (frac > 0.0) {
+            // A read hits a scrubbed (fresh) page with probability
+            // frac; mix the aged and fresh failure rates accordingly.
+            ucp0 = (1.0 - frac) * ucp0 + frac * ucpAt(0.0, pe);
+            ber0 = (1.0 - frac) * ber0 +
+                   frac * ecc::retentionBer(0.0, pe);
+        }
+        o = PlaneOdds{true, pe, age, frac, ucp0, ber0};
     }
-    return climbLadder(ucp0, ber0);
+    return climbLadder(o.ucp0, o.ber0);
 }
 
 double

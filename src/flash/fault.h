@@ -199,10 +199,7 @@ class FaultModel
 
     /** Attach the placement map whose per-plane wear drives
      *  drawRetriesForPlane; must outlive the model. */
-    void setWearSource(const WeightPlacement *placement)
-    {
-        wear_ = placement;
-    }
+    void setWearSource(const WeightPlacement *placement);
 
     bool wearAware() const { return wear_ != nullptr; }
 
@@ -226,6 +223,18 @@ class FaultModel
      *  seeds the per-rung codeword-tail recompute when ECC is armed. */
     std::uint32_t climbLadder(double ucp0, double ber0);
 
+    /** First-sense odds of one plane, valid while the plane's wear
+     *  state still equals the key it was derived from. */
+    struct PlaneOdds
+    {
+        bool known = false;
+        double pe = 0.0;
+        double age = 0.0;
+        double fresh = 0.0;
+        double ucp0 = 0.0;
+        double ber0 = 0.0;
+    };
+
     FaultSpec spec_;
     std::uint32_t page_bytes_;
     double ucp_;          ///< uniform first-sense UCP
@@ -233,6 +242,10 @@ class FaultModel
     Rng rng_;
     std::uint64_t draws_ = 0;
     const WeightPlacement *wear_ = nullptr;
+    /** Per-plane memo for drawRetriesForPlane. Keyed on the exact
+     *  wear-state doubles, so a program or refresh that changes them
+     *  recomputes the odds without any invalidation hook. */
+    std::vector<PlaneOdds> odds_;
 };
 
 } // namespace camllm::flash

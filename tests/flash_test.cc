@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <map>
 #include <vector>
 
@@ -256,6 +258,57 @@ TEST(ChannelBus, TraceHookSeesGrants)
     EXPECT_EQ(traces[0].bytes, 8u);
     EXPECT_EQ(traces[0].priority, BusPriority::High);
     EXPECT_STREQ(traces[1].label, "slice");
+}
+
+/** Completion time of a High request issued at t=300, while a sliced
+ *  1024-byte page (four 256-byte slices) holds the bus from t=0. */
+struct MidPageHigh
+{
+    Tick high_done = 0;
+    Tick page_done = 0;
+    int page_completions = 0;
+    std::uint64_t grants = 0;
+};
+
+MidPageHigh
+highDuringSlicedPage(bool slice_control)
+{
+    EventQueue eq;
+    ChannelBus bus(eq, 1.0, 0, slice_control);
+    MidPageHigh r;
+    bus.request(BusPriority::Low, 1024,
+                [&] {
+                    r.page_done = eq.now();
+                    ++r.page_completions;
+                },
+                "page", 256);
+    eq.schedule(300, [&] {
+        bus.request(BusPriority::High, 10, [&] { r.high_done = eq.now(); });
+    });
+    eq.run();
+    r.grants = bus.grants();
+    EXPECT_EQ(bus.bytesLow(), 1024u);
+    return r;
+}
+
+TEST(ChannelBus, SliceControlGrantsHighAtNextSliceBoundary)
+{
+    const MidPageHigh r = highDuringSlicedPage(true);
+    // Slice 1 runs [256, 512); the High request cuts in at 512.
+    EXPECT_EQ(r.high_done, 522u);
+    EXPECT_EQ(r.page_done, 1034u);
+    EXPECT_EQ(r.page_completions, 1);
+    EXPECT_EQ(r.grants, 5u); // four slices + the High grant
+}
+
+TEST(ChannelBus, FifoBusMakesHighWaitForTheWholePage)
+{
+    const MidPageHigh r = highDuringSlicedPage(false);
+    // The page's later slices were queued before the High request.
+    EXPECT_EQ(r.page_done, 1024u);
+    EXPECT_EQ(r.high_done, 1034u);
+    EXPECT_EQ(r.page_completions, 1);
+    EXPECT_EQ(r.grants, 5u);
 }
 
 // --- die + channel engine ---------------------------------------------------
@@ -561,6 +614,242 @@ TEST(ChannelEngine, TileWindowBoundsInFlightTiles)
     eq.run();
     EXPECT_EQ(ce.tilesInFlight(), 0u);
     EXPECT_EQ(cl.rc_results[1], 6u);
+}
+
+/** One bus grant as the trace hook reports it. */
+struct GoldenGrant
+{
+    Tick start;
+    Tick end;
+    BusPriority priority;
+    std::uint64_t bytes;
+    const char *label;
+};
+
+/**
+ * A mixed workload on one channel with two dies: four full sliced
+ * reads, a partial sliced read and an unsliced read at t=0, two rc
+ * tiles on both cores at t=1400, and a third tile plus another sliced
+ * read at t=2600. With @p faults the soft-failure ladder adds retry
+ * drains. Returns the channel's grant trace; completion times go to
+ * @p done.
+ */
+std::vector<ChannelBus::GrantTrace>
+mixedChannelTrace(bool faults, std::vector<Tick> &done)
+{
+    FlashParams p = testParams();
+    p.geometry.chips_per_channel = 2;
+    EventQueue eq;
+    CompletionRouter router(eq);
+    TestClient cl;
+    cl.eq = &eq;
+    cl.attach(router);
+    ChannelEngine ce(eq, p, router);
+    FaultSpec spec;
+    spec.ucp_rate = 0.3;
+    spec.seed = 11;
+    FaultModel fm(spec, p.geometry.page_bytes);
+    if (faults)
+        ce.setFaultModel(&fm);
+    std::vector<ChannelBus::GrantTrace> trace;
+    ce.bus().setTraceHook(
+        [&](const ChannelBus::GrantTrace &g) { trace.push_back(g); });
+
+    RcTileWork tile;
+    tile.client = cl.id;
+    tile.cores_used = 2;
+    tile.input_bytes = 64;
+    tile.out_bytes_per_core = 32;
+    tile.compute_time = 500;
+    auto submitTile = [&](std::uint64_t op) {
+        tile.op_id = op;
+        ce.submitTile(tile);
+    };
+    for (std::uint64_t op = 0; op < 4; ++op)
+        ce.submitRead(readJob(cl, op, 1024, true));
+    ce.submitRead(readJob(cl, 4, 700, true));
+    ce.submitRead(readJob(cl, 5, 1024, false));
+    eq.schedule(1400, [&] {
+        submitTile(10);
+        submitTile(11);
+    });
+    eq.schedule(2600, [&] {
+        submitTile(12);
+        ce.submitRead(readJob(cl, 6, 1024, true));
+    });
+    eq.run();
+
+    done = cl.rc_times;
+    done.insert(done.end(), cl.read_times.begin(), cl.read_times.end());
+    std::sort(done.begin(), done.end());
+    return trace;
+}
+
+void
+expectTrace(const std::vector<ChannelBus::GrantTrace> &trace,
+            const GoldenGrant *golden, std::size_t n)
+{
+    ASSERT_EQ(trace.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(trace[i].start, golden[i].start) << "grant " << i;
+        EXPECT_EQ(trace[i].end, golden[i].end) << "grant " << i;
+        EXPECT_EQ(trace[i].priority, golden[i].priority) << "grant " << i;
+        EXPECT_EQ(trace[i].bytes, golden[i].bytes) << "grant " << i;
+        EXPECT_STREQ(trace[i].label, golden[i].label) << "grant " << i;
+    }
+}
+
+constexpr BusPriority H = BusPriority::High;
+constexpr BusPriority L = BusPriority::Low;
+
+// Golden traces recorded from the model that issued one bus request
+// per slice; the per-page transaction must reproduce them grant for
+// grant.
+const GoldenGrant kCleanGrants[] = {
+    {1050, 1316, L, 256, "read-slice"},
+    {1316, 1582, L, 256, "read-slice"},
+    {1582, 1656, H, 64, "rc-input"},
+    {1656, 1730, H, 64, "rc-input"},
+    {1730, 1996, L, 256, "read-slice"},
+    {1996, 2262, L, 256, "read-slice"},
+    {2262, 2528, L, 256, "read-slice"},
+    {2528, 2794, L, 256, "read-slice"},
+    {2794, 2868, H, 64, "rc-input"},
+    {2868, 3134, L, 256, "read-slice"},
+    {3134, 3400, L, 256, "read-slice"},
+    {3400, 3442, H, 32, "rc-result"},
+    {3442, 3484, H, 32, "rc-result"},
+    {3484, 3750, L, 256, "read-slice"},
+    {3750, 4016, L, 256, "read-slice"},
+    {4016, 4282, L, 256, "read-slice"},
+    {4282, 4324, H, 32, "rc-result"},
+    {4324, 4366, H, 32, "rc-result"},
+    {4366, 4632, L, 256, "read-slice"},
+    {4632, 4898, L, 256, "read-slice"},
+    {4898, 5164, L, 256, "read-slice"},
+    {5164, 5430, L, 256, "read-slice"},
+    {5430, 5472, H, 32, "rc-result"},
+    {5472, 5514, H, 32, "rc-result"},
+    {5514, 5780, L, 256, "read-slice"},
+    {5780, 6046, L, 256, "read-slice"},
+    {6046, 6312, L, 256, "read-slice"},
+    {6312, 6510, L, 188, "read-slice"},
+    {6510, 7544, L, 1024, "read-slice"},
+    {7544, 7810, L, 256, "read-slice"},
+    {7810, 8076, L, 256, "read-slice"},
+    {8076, 8342, L, 256, "read-slice"},
+    {8342, 8608, L, 256, "read-slice"},
+};
+
+const GoldenGrant kRetryGrants[] = {
+    {1050, 1316, L, 256, "retry-slice"},
+    {1316, 1582, L, 256, "retry-slice"},
+    {1582, 1656, H, 64, "rc-input"},
+    {1656, 1730, H, 64, "rc-input"},
+    {1730, 1996, L, 256, "retry-slice"},
+    {1996, 2262, L, 256, "retry-slice"},
+    {2262, 2528, L, 256, "retry-slice"},
+    {2528, 2794, L, 256, "retry-slice"},
+    {2794, 2868, H, 64, "rc-input"},
+    {2868, 3134, L, 256, "retry-slice"},
+    {3134, 3400, L, 256, "retry-slice"},
+    {3400, 3442, H, 32, "rc-result"},
+    {3812, 4078, L, 256, "read-slice"},
+    {4078, 4344, L, 256, "read-slice"},
+    {4344, 4386, H, 32, "rc-result"},
+    {4386, 4652, L, 256, "read-slice"},
+    {4652, 4918, L, 256, "read-slice"},
+    {4918, 4960, H, 32, "rc-result"},
+    {4960, 5226, L, 256, "retry-slice"},
+    {5226, 5492, L, 256, "retry-slice"},
+    {5492, 5534, H, 32, "rc-result"},
+    {5534, 5800, L, 256, "retry-slice"},
+    {5800, 5842, H, 32, "rc-result"},
+    {5842, 6108, L, 256, "retry-slice"},
+    {6108, 6374, L, 256, "read-slice"},
+    {6374, 6640, L, 256, "read-slice"},
+    {6640, 6906, L, 256, "read-slice"},
+    {6906, 6948, H, 32, "rc-result"},
+    {6948, 7214, L, 256, "read-slice"},
+    {7214, 7480, L, 256, "retry-slice"},
+    {7480, 7746, L, 256, "retry-slice"},
+    {7746, 8012, L, 256, "retry-slice"},
+    {8012, 8278, L, 256, "retry-slice"},
+    {8278, 8544, L, 256, "retry-slice"},
+    {8544, 8810, L, 256, "retry-slice"},
+    {8810, 9076, L, 256, "retry-slice"},
+    {9076, 9342, L, 256, "retry-slice"},
+    {9828, 10094, L, 256, "read-slice"},
+    {10094, 10360, L, 256, "read-slice"},
+    {10360, 10626, L, 256, "read-slice"},
+    {10626, 10892, L, 256, "read-slice"},
+    {10892, 11158, L, 256, "retry-slice"},
+    {11158, 11424, L, 256, "retry-slice"},
+    {11424, 11622, L, 188, "retry-slice"},
+    {11642, 11908, L, 256, "read-slice"},
+    {11908, 12174, L, 256, "read-slice"},
+    {12174, 12440, L, 256, "read-slice"},
+    {12440, 12706, L, 256, "read-slice"},
+    {12706, 13740, L, 1024, "retry-slice"},
+    {13740, 14006, L, 256, "read-slice"},
+    {14006, 14272, L, 256, "read-slice"},
+    {14272, 14470, L, 188, "read-slice"},
+    {14470, 14736, L, 256, "retry-slice"},
+    {14736, 15002, L, 256, "retry-slice"},
+    {15002, 15268, L, 256, "retry-slice"},
+    {15268, 15534, L, 256, "retry-slice"},
+    {15534, 16568, L, 1024, "read-slice"},
+    {17084, 17350, L, 256, "read-slice"},
+    {17350, 17616, L, 256, "read-slice"},
+    {17616, 17882, L, 256, "read-slice"},
+    {17882, 18148, L, 256, "read-slice"},
+};
+
+TEST(ChannelEngine, MixedTrafficMatchesGoldenGrantTrace)
+{
+    std::vector<Tick> done;
+    const auto trace = mixedChannelTrace(false, done);
+    expectTrace(trace, kCleanGrants, std::size(kCleanGrants));
+    EXPECT_EQ(done, (std::vector<Tick>{2262, 3400, 3442, 3484, 4324, 4366,
+                                       4632, 5472, 5514, 5780, 6510, 7544,
+                                       8608}));
+}
+
+TEST(ChannelEngine, RetryDrainsMatchGoldenGrantTrace)
+{
+    std::vector<Tick> done;
+    const auto trace = mixedChannelTrace(true, done);
+    expectTrace(trace, kRetryGrants, std::size(kRetryGrants));
+    EXPECT_EQ(done, (std::vector<Tick>{3442, 4386, 4918, 4960, 5534, 5842,
+                                       6948, 7214, 10892, 12706, 14470,
+                                       16568, 18148}));
+}
+
+TEST(ChannelEngine, OfflineMidPageKeepsSlicesAndSuppressesCompletion)
+{
+    EventQueue eq;
+    CompletionRouter router(eq);
+    TestClient cl;
+    cl.eq = &eq;
+    cl.attach(router);
+    ChannelEngine ce(eq, testParams(), router);
+    std::vector<ChannelBus::GrantTrace> trace;
+    ce.bus().setTraceHook(
+        [&](const ChannelBus::GrantTrace &g) { trace.push_back(g); });
+    ce.submitRead(readJob(cl, 7, 1024, true));
+    ChannelEngine::OfflineWork stranded;
+    // The page drains from 1050 in slices of 266 ticks; the channel
+    // dies during the second slice.
+    eq.schedule(1400, [&] { stranded = ce.failOffline(); });
+    eq.run();
+
+    ASSERT_EQ(trace.size(), 4u);
+    EXPECT_EQ(trace.back().end, 1050u + 4 * 266);
+    EXPECT_EQ(ce.bus().busy().busyTicks(), 4u * 266);
+    EXPECT_TRUE(cl.read_times.empty());
+    EXPECT_EQ(ce.pagesRead(), 0u);
+    ASSERT_EQ(stranded.reads.size(), 1u);
+    EXPECT_EQ(stranded.reads[0].op_id, 7u);
 }
 
 // --- flash system -----------------------------------------------------------

@@ -12,6 +12,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -164,6 +165,57 @@ TEST(ReliabilityFaultModel, WornPlanesFailMoreThanFreshOnes)
                                       g.planes_per_die - 1);
     }
     EXPECT_GT(worn, fresh);
+}
+
+TEST(ReliabilityFaultModel, PerPlaneDrawsFollowWearStateChanges)
+{
+    FlashGeometry g;
+    WeightPlacement place(g);
+    place.seedStriped(g.totalPages() / 4);
+    place.seedWear(2000.0, 0.6, 500.0);
+
+    FaultSpec spec;
+    spec.retention_hours = 500.0;
+    spec.pe_cycles = 2000.0;
+    spec.wear_tracking = true;
+    spec.ecc_correctable_bits = 16;
+    spec.seed = 9;
+    FaultModel m(spec, g.page_bytes);
+    m.setWearSource(&place);
+
+    // Alternate draws on the least-worn plane (a) and the most-worn
+    // one (b), one digit per draw.
+    const std::uint32_t last_die = g.diesPerChannel() - 1;
+    const std::size_t a = place.planeIndex(0, 0, 0);
+    const std::size_t b = place.planeIndex(g.channels - 1, last_die, 1);
+    auto draws = [&] {
+        std::string out;
+        for (int i = 0; i < 64; ++i) {
+            out += char('0' + m.drawRetriesForPlane(0, 0, 0));
+            out += char('0' + m.drawRetriesForPlane(g.channels - 1,
+                                                    last_die, 1));
+        }
+        return out;
+    };
+
+    // Sequences recorded from the model that re-derived the odds on
+    // every draw. A stale cached UCP after a program or a refresh
+    // would change them.
+    EXPECT_EQ(draws(), "0100010101000101010101010101010101010101010001"
+                       "0101010200010001010101000101010101010101010101"
+                       "010101010101010101010101010100010101");
+    const std::uint64_t per_plane =
+        std::uint64_t(g.blocks_per_plane) * g.pages_per_block;
+    place.notePrograms(a, 3000 * per_plane); // wear on plane a
+    EXPECT_EQ(draws(), "1111112101111111111121111110211111111111111121"
+                       "1011111211111111111101111111112111211021111111"
+                       "101111111111121111011110112111111111");
+    for (int i = 0; i < 20000; ++i)
+        place.noteRefresh(b, a); // fresh pages on b, wear on a
+    EXPECT_EQ(draws(), "1121211121211111111111111010111110111110211111"
+                       "1001211111012011201111102011002111111111111121"
+                       "111110111121212110111110211121111121");
+    EXPECT_EQ(m.drawsTaken(), 701u);
 }
 
 // ---------------------------------------------------------------------------

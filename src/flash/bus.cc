@@ -7,6 +7,12 @@
 
 namespace camllm::flash {
 
+ChannelBus::~ChannelBus()
+{
+    if (ticker_.armed())
+        eq_.disarm(ticker_);
+}
+
 void
 ChannelBus::request(BusPriority prio, std::uint64_t bytes,
                     std::function<void()> done, const char *label,
@@ -19,10 +25,15 @@ ChannelBus::request(BusPriority prio, std::uint64_t bytes,
     // per-slice requests.
     Txn txn{next_seq_++, bytes, slice_bytes ? slice_bytes : bytes,
             std::move(done), label};
-    if (prio == BusPriority::High)
+    if (prio == BusPriority::High) {
         high_.push_back(std::move(txn));
-    else
+        // Under Slice Control the High request takes the bus at the
+        // next slice boundary, so that boundary must arbitrate.
+        if (priority_ && ticker_.armed())
+            eq_.fireNext(ticker_);
+    } else {
         low_.push_back(std::move(txn));
+    }
     tryStart();
 }
 
@@ -66,7 +77,35 @@ ChannelBus::tryStart()
     if (trace_)
         trace_(GrantTrace{start, end, prio, bytes, txn.label});
 
-    eq_.schedule(end, [this, take_high] { finishGrant(take_high); });
+    // While only this page wants the bus, each boundary before its
+    // last full slice would re-grant the page unchanged: let those
+    // pass silently. request() and setRateScale() end the run early
+    // when a boundary must arbitrate after all.
+    if (!take_high && txn.left >= txn.slice)
+        eq_.arm(ticker_, end - start, txn.left / txn.slice);
+    else
+        eq_.schedule(end, [this, take_high] { finishGrant(take_high); });
+}
+
+void
+ChannelBus::endSilentRun()
+{
+    const std::uint64_t n = ticker_.passes();
+    const Tick period = ticker_.period();
+    Txn &txn = low_.front();
+    txn.left -= n * txn.slice;
+    bytes_low_ += n * txn.slice;
+    grants_ += n;
+    busy_.addBusy(0, n * period);
+    if (trace_) {
+        // Silent slice k of n ran [now - (n+1-k) period, now - (n-k) period).
+        for (std::uint64_t i = n; i > 0; --i) {
+            const Tick start = eq_.now() - i * period;
+            trace_(GrantTrace{start, start + period, BusPriority::Low,
+                              txn.slice, txn.label});
+        }
+    }
+    finishGrant(false);
 }
 
 void

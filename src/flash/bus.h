@@ -14,6 +14,14 @@
  * queue and is granted one slice at a time. The bus re-arbitrates at
  * every slice boundary, and grant statistics and traces count slices;
  * the transaction's completion runs once, after its last slice.
+ *
+ * Most slice boundaries of a read page re-grant the same page: no
+ * High request waits and the rate has not changed. Those boundaries
+ * run as silent passes of an EventQueue::Ticker. A High request under
+ * Slice Control or a rate change makes the next boundary arbitrate;
+ * the slices that passed silently are folded into the statistics and
+ * traced (in slice order) when the run ends, and the accessors include
+ * them at any moment.
  */
 
 #ifndef CAMLLM_FLASH_BUS_H
@@ -62,9 +70,18 @@ class ChannelBus
                bool priority_arbitration = true)
         : eq_(eq), bytes_per_ns_(bytes_per_ns),
           grant_overhead_(grant_overhead),
-          priority_(priority_arbitration)
+          priority_(priority_arbitration),
+          ticker_([](void *bus) {
+                      static_cast<ChannelBus *>(bus)->endSilentRun();
+                  },
+                  this)
     {
     }
+
+    /** The queue holds the ticker's address: no copies, no moves. */
+    ChannelBus(const ChannelBus &) = delete;
+    ChannelBus &operator=(const ChannelBus &) = delete;
+    ~ChannelBus();
 
     /**
      * Request the bus for @p bytes, moved in grants of at most
@@ -91,14 +108,28 @@ class ChannelBus
         CAMLLM_ASSERT(scale > 0.0 && scale <= 1.0,
                       "bus rate scale %.3f out of (0, 1]", scale);
         rate_scale_ = scale;
+        if (ticker_.armed())
+            eq_.fireNext(ticker_);
     }
 
     double rateScale() const { return rate_scale_; }
 
-    const BusyTracker &busy() const { return busy_; }
+    /** Busy time so far, slices passed silently included. */
+    BusyTracker
+    busy() const
+    {
+        BusyTracker b = busy_;
+        b.addBusy(0, silentSlices() * ticker_.period());
+        return b;
+    }
     std::uint64_t bytesHigh() const { return bytes_high_; }
-    std::uint64_t bytesLow() const { return bytes_low_; }
-    std::uint64_t grants() const { return grants_; }
+    std::uint64_t
+    bytesLow() const
+    {
+        const std::uint64_t n = silentSlices();
+        return n == 0 ? bytes_low_ : bytes_low_ + n * low_.front().slice;
+    }
+    std::uint64_t grants() const { return grants_ + silentSlices(); }
     bool idle() const { return !busy_now_; }
 
     /** Time to move @p bytes including the per-grant overhead. */
@@ -121,6 +152,17 @@ class ChannelBus
 
     void tryStart();
     void finishGrant(bool high);
+    /** Ticker callback: account the slices that passed silently, then
+     *  finish the grant in flight as finishGrant(false) would. */
+    void endSilentRun();
+
+    /** Slices of the Low head granted at silent boundaries and not yet
+     *  folded into the counters. */
+    std::uint64_t
+    silentSlices() const
+    {
+        return ticker_.armed() ? ticker_.passes() : 0;
+    }
 
     EventQueue &eq_;
     double bytes_per_ns_;
@@ -136,6 +178,7 @@ class ChannelBus
     std::uint64_t bytes_low_ = 0;
     std::uint64_t grants_ = 0;
     TraceHook trace_;
+    EventQueue::Ticker ticker_;
 };
 
 } // namespace camllm::flash

@@ -16,18 +16,12 @@ ChannelEngine::ChannelEngine(EventQueue &eq, const FlashParams &params,
 {
     CAMLLM_ASSERT(tile_window_ > 0);
     const std::uint32_t n_dies = params_.geometry.diesPerChannel();
-    DieModel::Callbacks cbs;
-    cbs.input_ready = [this](std::uint32_t seq) { return inputReady(seq); };
-    cbs.rc_result_delivered = [this](const RcPageJob &j) {
-        onRcResultDelivered(j);
-    };
-    cbs.read_delivered = [this](const ReadPageJob &j) { onReadDelivered(j); };
-    cbs.read_slot_free = [this] { dispatchReads(); };
-    cbs.retry_drained = [this](const ReadPageJob &j) { onRetryDrained(j); };
     dies_.reserve(n_dies);
     for (std::uint32_t i = 0; i < n_dies; ++i)
-        dies_.push_back(std::make_unique<DieModel>(eq_, bus_, params_, cbs,
-                                                   channel_index_, i));
+        dies_.push_back(std::make_unique<DieModel>(
+            eq_, bus_, params_, *this, channel_index_, i));
+    free_read_planes_ = n_dies;
+    active_.reserve(tile_window_);
 }
 
 void
@@ -74,7 +68,7 @@ ChannelEngine::failOffline()
     for (const RcTileWork &t : tile_queue_)
         w.tiles.push_back(t);
     tile_queue_.clear();
-    for (const auto &[seq, tile] : active_) {
+    for (const ActiveTile &tile : active_) {
         if (tile.results_remaining == 0)
             continue;
         RcTileWork t = tile.work;
@@ -82,8 +76,8 @@ ChannelEngine::failOffline()
         w.tiles.push_back(t);
     }
     // active_ stays populated: late die events still consult
-    // inputReady() through cbs_, and the entries are dead weight, not
-    // dangling state.
+    // inputReady(), and the entries are dead weight, not dangling
+    // state.
 
     for (const ReadPageJob &j : read_queue_)
         w.reads.push_back(j);
@@ -100,7 +94,7 @@ ChannelEngine::tryActivate()
         RcTileWork tile = tile_queue_.front();
         tile_queue_.pop_front();
         const std::uint32_t seq = next_tile_seq_++;
-        active_.emplace(seq, ActiveTile{tile, tile.cores_used, false});
+        active_.push_back(ActiveTile{seq, tile, tile.cores_used, false});
 
         // Broadcast the input slice to every engaged core's input
         // buffer; a single grant serves all chips on the bus.
@@ -108,9 +102,7 @@ ChannelEngine::tryActivate()
                      [this, seq] {
                          if (offline_)
                              return;
-                         auto it = active_.find(seq);
-                         CAMLLM_ASSERT(it != active_.end());
-                         it->second.input_ready = true;
+                         active_[activeIndex(seq)].input_ready = true;
                          for (auto &die : dies_)
                              die->notifyInputArrived();
                      },
@@ -131,27 +123,47 @@ ChannelEngine::tryActivate()
 void
 ChannelEngine::dispatchReads()
 {
-    if (read_queue_.empty())
+    if (read_queue_.empty() || free_read_planes_ == 0)
         return;
     // Round-robin over dies so read service spreads across planes.
+    // The probe offset is not reset when the cursor moves, so after a
+    // push the scan resumes one die past the new cursor.
     const std::size_t n = dies_.size();
-    for (std::size_t probe = 0; probe < n && !read_queue_.empty(); ++probe) {
-        std::size_t d = (rr_die_ + probe) % n;
+    for (std::size_t probe = 0;
+         probe < n && !read_queue_.empty() && free_read_planes_ > 0;
+         ++probe) {
+        std::size_t d = rr_die_ + probe;
+        if (d >= n)
+            d -= n;
         if (dies_[d]->canAcceptRead()) {
             dies_[d]->pushReadJob(read_queue_.front());
             read_queue_.pop_front();
-            rr_die_ = (d + 1) % n;
+            --free_read_planes_;
+            rr_die_ = d + 1 == n ? 0 : d + 1;
         }
     }
+}
+
+void
+ChannelEngine::onReadSlotFree()
+{
+    ++free_read_planes_;
+    dispatchReads();
+}
+
+std::size_t
+ChannelEngine::activeIndex(std::uint32_t seq) const
+{
+    for (std::size_t i = 0; i < active_.size(); ++i)
+        if (active_[i].seq == seq)
+            return i;
+    panic("compute references inactive tile %u", seq);
 }
 
 bool
 ChannelEngine::inputReady(std::uint32_t tile_seq) const
 {
-    auto it = active_.find(tile_seq);
-    CAMLLM_ASSERT(it != active_.end(),
-                  "compute references inactive tile %u", tile_seq);
-    return it->second.input_ready;
+    return active_[activeIndex(tile_seq)].input_ready;
 }
 
 void
@@ -159,11 +171,10 @@ ChannelEngine::onRcResultDelivered(const RcPageJob &job)
 {
     if (offline_)
         return;
-    auto it = active_.find(job.tile_seq);
-    CAMLLM_ASSERT(it != active_.end());
-    CAMLLM_ASSERT(it->second.results_remaining > 0);
-    if (--it->second.results_remaining == 0) {
-        active_.erase(it);
+    const std::size_t i = activeIndex(job.tile_seq);
+    CAMLLM_ASSERT(active_[i].results_remaining > 0);
+    if (--active_[i].results_remaining == 0) {
+        active_.erase(active_.begin() + std::ptrdiff_t(i));
         tryActivate();
     }
     Completion c;

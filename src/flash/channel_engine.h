@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -105,19 +104,34 @@ class ChannelEngine
     }
 
   private:
+    friend class DieModel; // the upcalls below
+
     void tryActivate();
     void dispatchReads();
+
+    // --- die upcalls ----------------------------------------------------
+    /** Is tile @p tile_seq's input vector in the input buffer? */
     bool inputReady(std::uint32_t tile_seq) const;
+    /** A compute result finished its bus grant. */
     void onRcResultDelivered(const RcPageJob &job);
+    /** A read page finished its last bus slice. */
     void onReadDelivered(const ReadPageJob &job);
+    /** A die's read plane can accept another job. */
+    void onReadSlotFree();
+    /** A failed sense's page crossed the bus before the controller's
+     *  ECC rejected it (retry-traffic accounting). */
     void onRetryDrained(const ReadPageJob &job);
 
     struct ActiveTile
     {
+        std::uint32_t seq;
         RcTileWork work; ///< as submitted, for re-issue on failure
         std::uint32_t results_remaining;
         bool input_ready = false;
     };
+
+    /** Position of tile @p seq in active_; panics if inactive. */
+    std::size_t activeIndex(std::uint32_t seq) const;
 
     EventQueue &eq_;
     FlashParams params_;
@@ -129,11 +143,13 @@ class ChannelEngine
     std::vector<std::unique_ptr<DieModel>> dies_;
 
     std::deque<RcTileWork> tile_queue_;
-    std::map<std::uint32_t, ActiveTile> active_;
+    /** At most tile_window_ tiles, in sequence order. */
+    std::vector<ActiveTile> active_;
     std::uint32_t next_tile_seq_ = 0;
 
     std::deque<ReadPageJob> read_queue_;
     std::size_t rr_die_ = 0; ///< round-robin cursor for read dispatch
+    std::size_t free_read_planes_ = 0; ///< dies that canAcceptRead()
 
     bool offline_ = false;
 

@@ -1,6 +1,7 @@
 #include "die.h"
 
 #include "common/logging.h"
+#include "flash/channel_engine.h"
 
 namespace camllm::flash {
 
@@ -32,7 +33,7 @@ DieModel::advanceRc()
     // and only then is the weight page fetched (step 2); the plane
     // also waits for the data register to be handed off.
     if (!rc_reading_ && !rc_data_reg_ && !rc_queue_.empty() &&
-        cbs_.input_ready(rc_queue_.front().tile_seq)) {
+        engine_.inputReady(rc_queue_.front().tile_seq)) {
         rc_reading_ = rc_queue_.front();
         rc_queue_.pop_front();
         startRcSense(0, fault_ ? drawFor(0) : 0);
@@ -53,7 +54,7 @@ DieModel::advanceRc()
 
     // Stage 3: compute, gated on the broadcast input vector.
     if (rc_cache_reg_ && !core_busy_ &&
-        cbs_.input_ready(rc_cache_reg_->tile_seq)) {
+        engine_.inputReady(rc_cache_reg_->tile_seq)) {
         core_busy_ = true;
         const Tick dur = rc_cache_reg_->compute_time;
         core_busy_stat_.addBusy(eq_.now(), eq_.now() + dur);
@@ -72,7 +73,7 @@ DieModel::advanceRc()
                              const RcPageJob job = rc_out_.front();
                              rc_out_.pop_front();
                              if (!offline_)
-                                 cbs_.rc_result_delivered(job);
+                                 engine_.onRcResultDelivered(job);
                          },
                          "rc-result");
             advanceRc();
@@ -140,8 +141,8 @@ DieModel::drawFor(std::uint32_t plane)
  * pages are decoded by the controller, so a failed attempt still pays
  * the register move and the full page transfer over the channel
  * before the ECC verdict comes back; those bytes are billed to
- * WorkClass::Retry via the retry_drained upcall. The plane stays
- * occupied for the whole ladder (rd_reading_ keeps its job), so
+ * WorkClass::Retry via the engine's onRetryDrained upcall. The plane
+ * stays occupied for the whole ladder (rd_reading_ keeps its job), so
  * canAcceptRead() correctly reports busy until a rung decodes.
  */
 void
@@ -177,8 +178,7 @@ DieModel::drainFailedRead(std::uint32_t attempt, std::uint32_t retries)
                      [this, attempt, retries] {
                          if (offline_)
                              return;
-                         if (cbs_.retry_drained)
-                             cbs_.retry_drained(*rd_reading_);
+                         engine_.onRetryDrained(*rd_reading_);
                          startReadSense(attempt + 1, retries);
                      },
                      "retry-slice", sliceBytes(*rd_reading_));
@@ -201,7 +201,7 @@ DieModel::advanceRead()
             rd_cache_reg_ = rd_data_reg_;
             rd_data_reg_.reset();
             rd_moving_ = false;
-            cbs_.read_slot_free();
+            engine_.onReadSlotFree();
             advanceRead();
         });
     }
@@ -218,7 +218,7 @@ DieModel::advanceRead()
                          rd_cache_reg_.reset();
                          rd_draining_ = false;
                          ++pages_read_;
-                         cbs_.read_delivered(done);
+                         engine_.onReadDelivered(done);
                          advanceRead();
                      },
                      "read-slice", sliceBytes(*rd_cache_reg_));

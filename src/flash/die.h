@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -28,33 +27,20 @@
 
 namespace camllm::flash {
 
+class ChannelEngine;
+
 /** Event-driven model of one on-die-processing flash die. */
 class DieModel
 {
   public:
-    /** Upcalls into the per-channel scheduler. */
-    struct Callbacks
-    {
-        /** Is tile @p tile_seq's input vector in the input buffer? */
-        std::function<bool(std::uint32_t tile_seq)> input_ready;
-        /** A compute result finished its bus grant. */
-        std::function<void(const RcPageJob &)> rc_result_delivered;
-        /** A read page finished its last bus slice. */
-        std::function<void(const ReadPageJob &)> read_delivered;
-        /** The read plane can accept another job. */
-        std::function<void()> read_slot_free;
-        /** A failed sense's page crossed the bus before the
-         *  controller's ECC rejected it (retry-traffic accounting).
-         *  Null when no fault model is armed. */
-        std::function<void(const ReadPageJob &)> retry_drained;
-    };
-
-    /** @p channel / @p die_in_channel identify this die so a wear-
-     *  tracking fault model can look up the target plane's state. */
+    /** @p engine is the channel scheduler this die upcalls into (its
+     *  only constructor); @p channel / @p die_in_channel identify this
+     *  die so a wear-tracking fault model can look up the target
+     *  plane's state. */
     DieModel(EventQueue &eq, ChannelBus &bus, const FlashParams &params,
-             Callbacks cbs, std::uint32_t channel = 0,
+             ChannelEngine &engine, std::uint32_t channel = 0,
              std::uint32_t die_in_channel = 0)
-        : eq_(eq), bus_(bus), params_(params), cbs_(std::move(cbs)),
+        : eq_(eq), bus_(bus), params_(params), engine_(engine),
           channel_(channel), die_(die_in_channel)
     {
     }
@@ -128,7 +114,7 @@ class DieModel
     EventQueue &eq_;
     ChannelBus &bus_;
     FlashParams params_;
-    Callbacks cbs_;
+    ChannelEngine &engine_;
     std::uint32_t channel_ = 0;
     std::uint32_t die_ = 0;
 

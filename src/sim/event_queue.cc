@@ -297,9 +297,8 @@ EventQueue::peekEarliestTick(Tick commit_limit)
 }
 
 EventQueue::Event *
-EventQueue::popEarliest()
+EventQueue::popAt(Tick t)
 {
-    const Tick t = peekEarliestTick(kTickMax);
     const std::size_t idx = std::size_t(t & bucket_mask_);
     Bucket &b = buckets_[idx];
     Event *ev = b.head;
@@ -340,17 +339,158 @@ EventQueue::reserve(std::size_t events)
     }
 }
 
-bool
-EventQueue::step()
+void
+EventQueue::arm(Ticker &t, Tick period, std::uint64_t silent)
 {
-    if (empty())
+    CAMLLM_ASSERT(!t.armed_, "ticker armed twice");
+    CAMLLM_ASSERT(period > 0, "ticker with a zero period");
+    t.when_ = now_ + period;
+    t.period_ = period;
+    t.seq_ = next_seq_++;
+    t.silent_ = silent;
+    t.passes_ = 0;
+    t.next_ = nullptr;
+    t.armed_ = true;
+    ++tickers_;
+    for (Lane &lane : lanes_) {
+        if (lane.period != period)
+            continue;
+        // Every armed ticker is due within one period of the clock,
+        // so the newcomer (due now + period, newest seq) sorts last.
+        CAMLLM_ASSERT(lane.tail->when_ <= t.when_,
+                      "ticker lane out of order (tail when=%llu, new "
+                      "when=%llu)",
+                      (unsigned long long)lane.tail->when_,
+                      (unsigned long long)t.when_);
+        lane.tail->next_ = &t;
+        lane.tail = &t;
+        return;
+    }
+    lanes_.push_back(Lane{period, &t, &t});
+}
+
+void
+EventQueue::disarm(Ticker &t)
+{
+    CAMLLM_ASSERT(t.armed_, "disarm of a disarmed ticker");
+    for (Lane &lane : lanes_) {
+        if (lane.period != t.period_)
+            continue;
+        Ticker *prev = nullptr;
+        Ticker *cur = lane.head;
+        while (cur != &t) {
+            prev = cur;
+            cur = cur->next_;
+        }
+        if (prev == nullptr)
+            lane.head = t.next_;
+        else
+            prev->next_ = t.next_;
+        if (lane.tail == &t)
+            lane.tail = prev;
+        t.next_ = nullptr;
+        t.armed_ = false;
+        --tickers_;
+        if (lane.head == nullptr)
+            removeLane(lane);
+        return;
+    }
+    panic("armed ticker in no lane");
+}
+
+void
+EventQueue::removeLane(Lane &lane)
+{
+    // Lane order carries no meaning: heads are compared by (when, seq).
+    lane = lanes_.back();
+    lanes_.pop_back();
+}
+
+EventQueue::Lane &
+EventQueue::earliestLane()
+{
+    Lane *best = &lanes_.front();
+    for (Lane &lane : lanes_) {
+        const Ticker *h = lane.head;
+        const Ticker *b = best->head;
+        if (h->when_ < b->when_ ||
+            (h->when_ == b->when_ && h->seq_ < b->seq_))
+            best = &lane;
+    }
+    return *best;
+}
+
+bool
+EventQueue::runNext(Tick limit)
+{
+    const bool calendar = calendarPending() > 0;
+    Tick t = 0;         // calendar head tick, or a lower bound on it
+    bool exact = false; // t is the committed calendar head tick
+    while (tickers_ > 0) {
+        Lane &lane = earliestLane();
+        Ticker *tk = lane.head;
+        if (tk->when_ > limit)
+            break;
+        // Peek no further than the ticker, so a re-anchor never runs
+        // ahead of the clock the ticker is about to set. Passes do not
+        // touch the calendar, so an exact peek stays valid for the
+        // whole run of passes, and a lower bound until a ticker
+        // reaches it.
+        if (calendar && !exact && t <= tk->when_) {
+            t = peekEarliestTick(tk->when_);
+            exact = t <= tk->when_;
+        }
+        if (calendar && exact &&
+            (t < tk->when_ ||
+             (t == tk->when_ &&
+              buckets_[std::size_t(t & bucket_mask_)].head->seq <
+                  tk->seq_)))
+            break; // the calendar event comes first
+        now_ = tk->when_;
+        ++executed_;
+        if (tk->silent_ > 0) {
+            // A silent pass: one period later with a fresh sequence
+            // number, which sorts after every other ticker in the lane.
+            --tk->silent_;
+            ++tk->passes_;
+            tk->when_ += tk->period_;
+            tk->seq_ = next_seq_++;
+            if (lane.tail != tk) {
+                lane.head = tk->next_;
+                tk->next_ = nullptr;
+                lane.tail->next_ = tk;
+                lane.tail = tk;
+            }
+            continue;
+        }
+        lane.head = tk->next_;
+        tk->next_ = nullptr;
+        tk->armed_ = false;
+        --tickers_;
+        if (lane.head == nullptr)
+            removeLane(lane);
+        tk->fn_(tk->ctx_);
+        return true;
+    }
+    if (!calendar)
         return false;
-    Event *ev = popEarliest();
-    now_ = ev->when;
+    if (!exact) {
+        t = peekEarliestTick(limit);
+        if (t > limit)
+            return false;
+    }
+    Event *ev = popAt(t);
+    now_ = t;
     ++executed_;
     ev->invoke(ev->storage);
     release(ev);
     return true;
+}
+
+bool
+EventQueue::step()
+{
+    return runNext(kTickMax);
 }
 
 void
@@ -363,13 +503,10 @@ EventQueue::run()
 Tick
 EventQueue::runUntil(Tick limit)
 {
-    // The bounded peek never commits an anchor advance past @p limit,
-    // so when the loop breaks the clock lands at limit >= cal_base_
-    // and later schedules can never target a tick below the anchor.
-    while (!empty()) {
-        if (peekEarliestTick(limit) > limit)
-            break;
-        step();
+    // Peeks never commit an anchor advance past @p limit, so when the
+    // loop ends the clock lands at limit >= cal_base_ and later
+    // schedules can never target a tick below the anchor.
+    while (runNext(limit)) {
     }
     if (now_ < limit)
         now_ = limit;
@@ -405,6 +542,16 @@ EventQueue::reset()
     for (FarEvent &fe : heap_)
         release(fe.ev);
     heap_.clear();
+    for (Lane &lane : lanes_) {
+        for (Ticker *t = lane.head; t != nullptr;) {
+            Ticker *next = t->next_;
+            t->next_ = nullptr;
+            t->armed_ = false;
+            t = next;
+        }
+    }
+    lanes_.clear();
+    tickers_ = 0;
     cal_base_ = 0;
     cal_scan_ = 0;
     now_ = 0;

@@ -17,6 +17,14 @@
  * amortized whether events are nanoseconds or whole simulated seconds
  * apart. Only events beyond the combined wheel span (window x 1024^4
  * ticks, ~2 weeks at the default window) fall back to a binary heap.
+ *
+ * Periodic boundaries that usually do nothing can instead run as
+ * *tickers* (EventQueue::Ticker): a client-owned record that passes a
+ * known number of boundaries silently, each at exactly the (tick,
+ * sequence number) position a self-rescheduling event would take, and
+ * only then runs its callback. Same-tick order is therefore identical
+ * to the event it replaces; only the callback and the record traffic
+ * of the silent boundaries go away.
  */
 
 #ifndef CAMLLM_SIM_EVENT_QUEUE_H
@@ -31,6 +39,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/units.h"
 
 namespace camllm {
@@ -82,14 +91,15 @@ class EventQueue
     /** Current simulated time. */
     Tick now() const { return now_; }
 
-    /** Total number of events executed so far. */
+    /** Total number of events executed so far, silent ticker
+     *  boundaries included. */
     std::uint64_t executed() const { return executed_; }
 
-    /** Number of events still pending. */
+    /** Number of events still pending; an armed ticker counts as one. */
     std::size_t
     pending() const
     {
-        return cal_count_ + wheel_count_ + heap_.size();
+        return calendarPending() + tickers_;
     }
 
     bool empty() const { return pending() == 0; }
@@ -147,12 +157,75 @@ class EventQueue
     }
 
     /**
+     * A periodic boundary that can pass silently. The client owns the
+     * record (the queue never allocates, copies or destroys one) and
+     * must disarm it before destroying it.
+     *
+     * arm() stamps the first boundary at now() + period with a fresh
+     * sequence number, exactly as schedule(now() + period, ...) would.
+     * Each of the next `silent` boundaries then passes without a
+     * callback: it counts in executed(), advances the clock, and takes
+     * a fresh sequence number for the boundary one period later — the
+     * position a callback rescheduling itself would take. The boundary
+     * after those (or the next one once fireNext() is called)
+     * disarms the ticker and runs fn(ctx) as an ordinary event.
+     */
+    class Ticker
+    {
+      public:
+        using Fn = void (*)(void *ctx);
+
+        Ticker(Fn fn, void *ctx) : fn_(fn), ctx_(ctx) {}
+        Ticker(const Ticker &) = delete;
+        Ticker &operator=(const Ticker &) = delete;
+
+        bool armed() const { return armed_; }
+        /** Boundaries passed silently since the last arm(). */
+        std::uint64_t passes() const { return passes_; }
+        /** Ticks between boundaries of the current (or last) arm(). */
+        Tick period() const { return period_; }
+
+      private:
+        friend class EventQueue;
+
+        Fn fn_;
+        void *ctx_;
+        Tick when_ = 0;
+        Tick period_ = 0;
+        std::uint64_t seq_ = 0;
+        std::uint64_t silent_ = 0; ///< boundaries still to pass
+        std::uint64_t passes_ = 0;
+        Ticker *next_ = nullptr; ///< lane FIFO link
+        bool armed_ = false;
+    };
+
+    /**
+     * Arm @p t: its first boundary is now() + @p period, and the first
+     * @p silent boundaries pass without a callback.
+     * @pre !t.armed() and period > 0.
+     */
+    void arm(Ticker &t, Tick period, std::uint64_t silent);
+
+    /** Make @p t's next boundary (not yet passed) run its callback.
+     *  @pre t.armed(). */
+    void
+    fireNext(Ticker &t)
+    {
+        CAMLLM_ASSERT(t.armed_, "fireNext on a disarmed ticker");
+        t.silent_ = 0;
+    }
+
+    /** Withdraw @p t without running its callback. @pre t.armed(). */
+    void disarm(Ticker &t);
+
+    /**
      * Pre-size the far-future heap and the event pool for @p events
      * pending events, avoiding regrowth mid-simulation.
      */
     void reserve(std::size_t events);
 
-    /** Execute the single earliest event. @return false if none left. */
+    /** Execute the single earliest event, after passing every silent
+     *  ticker boundary ordered before it. @return false if none left. */
     bool step();
 
     /** Run until the queue drains. */
@@ -164,7 +237,8 @@ class EventQueue
      */
     Tick runUntil(Tick limit);
 
-    /** Drop all pending events and rewind the clock to zero. */
+    /** Drop all pending events, disarm every ticker and rewind the
+     *  clock to zero. */
     void reset();
 
     /**
@@ -235,6 +309,20 @@ class EventQueue
         unsigned shift = 0; ///< log2 slot width in ticks
     };
 
+    /**
+     * Armed tickers of one period, in (when, seq) order. Every armed
+     * ticker's next boundary lies in [now, now + period], so a pass
+     * (next boundary one period later, fresh sequence number) always
+     * moves the head to the back and a new arm() always appends: the
+     * lane is a FIFO, and each pass is O(1).
+     */
+    struct Lane
+    {
+        Tick period;
+        Ticker *head;
+        Ticker *tail;
+    };
+
     /** Far-future reference; heap-ordered by (when, seq). */
     struct FarEvent
     {
@@ -272,8 +360,23 @@ class EventQueue
      * ticks below the anchor impossible).
      */
     Tick peekEarliestTick(Tick commit_limit);
-    /** Unlink and return the first pending event. */
-    Event *popEarliest();
+    /** Unlink and return the first event of the level-0 bucket at
+     *  @p t, a tick peekEarliestTick() just returned and committed. */
+    Event *popAt(Tick t);
+
+    std::size_t
+    calendarPending() const
+    {
+        return cal_count_ + wheel_count_ + heap_.size();
+    }
+
+    /** Pass silent ticker boundaries and run the first event (ticker
+     *  callback or calendar event) with tick <= @p limit.
+     *  @return false if no event was run. */
+    bool runNext(Tick limit);
+    /** Lane whose head is the earliest armed ticker; tickers_ > 0. */
+    Lane &earliestLane();
+    void removeLane(Lane &lane);
 
     std::vector<Bucket> buckets_; ///< level 0: one tick per bucket
     std::vector<std::uint64_t> occ0_; ///< level-0 occupancy bitmap
@@ -286,6 +389,9 @@ class EventQueue
     std::size_t wheel_count_ = 0; ///< events across all upper wheels
 
     std::vector<FarEvent> heap_;
+
+    std::vector<Lane> lanes_; ///< one per distinct armed period
+    std::size_t tickers_ = 0; ///< armed tickers across all lanes
 
     std::vector<std::unique_ptr<Event[]>> chunks_;
     Event *free_ = nullptr;

@@ -852,6 +852,208 @@ TEST(ChannelEngine, OfflineMidPageKeepsSlicesAndSuppressesCompletion)
     EXPECT_EQ(stranded.reads[0].op_id, 7u);
 }
 
+// --- silent slice boundaries ------------------------------------------------
+
+/** Bus counters as one event saw them. */
+struct BusSample
+{
+    Tick now;
+    std::uint64_t busy;
+    std::uint64_t grants;
+    std::uint64_t bytes_low;
+
+    bool operator==(const BusSample &) const = default;
+};
+
+BusSample
+sampleBus(const EventQueue &eq, const ChannelBus &bus)
+{
+    return {eq.now(), bus.busy().busyTicks(), bus.grants(), bus.bytesLow()};
+}
+
+/**
+ * Two sliced pages (1024 then 512 bytes, 256-byte slices of 266
+ * ticks) back to back from t=0, sampled one tick before, at and one
+ * tick after each of the six slice boundaries. At a boundary tick one
+ * sample is numbered before the boundary (scheduled up front) and one
+ * after it (scheduled from the sample a tick earlier).
+ */
+std::vector<BusSample>
+samplesAroundBoundaries(bool traced)
+{
+    EventQueue eq;
+    ChannelBus bus(eq, 1.0, 10);
+    std::vector<ChannelBus::GrantTrace> trace;
+    if (traced)
+        bus.setTraceHook(
+            [&](const ChannelBus::GrantTrace &g) { trace.push_back(g); });
+    std::vector<BusSample> samples;
+    const auto sample = [&] { samples.push_back(sampleBus(eq, bus)); };
+    for (Tick b = 266; b <= 6 * 266; b += 266) {
+        eq.schedule(b - 1, [&, b] {
+            sample();
+            eq.schedule(b, sample);
+        });
+        eq.schedule(b, sample);
+        eq.schedule(b + 1, sample);
+    }
+    bus.request(BusPriority::Low, 1024, [] {}, "page0", 256);
+    bus.request(BusPriority::Low, 512, [] {}, "page1", 256);
+    eq.run();
+    EXPECT_EQ(trace.size(), traced ? 6u : 0u);
+    return samples;
+}
+
+// Recorded from the model that ran every slice boundary as an event.
+const BusSample kBoundarySamples[] = {
+    // clang-format off
+    {265, 266, 1, 256},   {266, 266, 1, 256},   {266, 532, 2, 512},
+    {267, 532, 2, 512},   {531, 532, 2, 512},   {532, 532, 2, 512},
+    {532, 798, 3, 768},   {533, 798, 3, 768},   {797, 798, 3, 768},
+    {798, 798, 3, 768},   {798, 1064, 4, 1024}, {799, 1064, 4, 1024},
+    {1063, 1064, 4, 1024}, {1064, 1064, 4, 1024}, {1064, 1330, 5, 1280},
+    {1065, 1330, 5, 1280}, {1329, 1330, 5, 1280}, {1330, 1330, 5, 1280},
+    {1330, 1596, 6, 1536}, {1331, 1596, 6, 1536}, {1595, 1596, 6, 1536},
+    {1596, 1596, 6, 1536}, {1596, 1596, 6, 1536}, {1597, 1596, 6, 1536},
+    // clang-format on
+};
+
+TEST(ChannelBus, CountersIncludeSilentSlicesAtEveryBoundary)
+{
+    const std::vector<BusSample> want(std::begin(kBoundarySamples),
+                                      std::end(kBoundarySamples));
+    EXPECT_EQ(samplesAroundBoundaries(false), want);
+    // A trace hook does not change what the counters report.
+    EXPECT_EQ(samplesAroundBoundaries(true), want);
+}
+
+/** A High request issued at the page's second slice boundary (t=512). */
+struct HighAtBoundary
+{
+    Tick high_done = 0;
+    Tick page_done = 0;
+    std::uint64_t grants = 0;
+    std::uint64_t busy = 0;
+};
+
+HighAtBoundary
+highAtBoundaryTick(bool before_boundary)
+{
+    EventQueue eq;
+    ChannelBus bus(eq, 1.0, 0);
+    HighAtBoundary r;
+    const auto high = [&] {
+        bus.request(BusPriority::High, 10, [&] { r.high_done = eq.now(); });
+    };
+    // Numbered before the page, so ahead of every slice boundary.
+    if (before_boundary)
+        eq.schedule(512, high);
+    bus.request(BusPriority::Low, 1024, [&] { r.page_done = eq.now(); },
+                "page", 256);
+    // Numbered at 511, after the boundary at 512 took its number.
+    if (!before_boundary)
+        eq.schedule(511, [&] { eq.schedule(512, high); });
+    eq.run();
+    r.grants = bus.grants();
+    r.busy = bus.busy().busyTicks();
+    return r;
+}
+
+TEST(ChannelBus, HighAtABoundaryTickFollowsSequenceOrder)
+{
+    const HighAtBoundary before = highAtBoundaryTick(true);
+    EXPECT_EQ(before.high_done, 522u);
+    EXPECT_EQ(before.page_done, 1034u);
+    EXPECT_EQ(before.grants, 5u);
+    EXPECT_EQ(before.busy, 1034u);
+    const HighAtBoundary after = highAtBoundaryTick(false);
+    EXPECT_EQ(after.high_done, 778u);
+    EXPECT_EQ(after.page_done, 1034u);
+    EXPECT_EQ(after.grants, 5u);
+    EXPECT_EQ(after.busy, 1034u);
+}
+
+/** A 2048-byte page (eight 256-byte slices) whose channel slows to
+ *  half rate at t=300 and recovers at t=1500. */
+std::vector<ChannelBus::GrantTrace>
+rateChangeMidPage(std::vector<BusSample> &samples)
+{
+    EventQueue eq;
+    ChannelBus bus(eq, 1.0, 10);
+    std::vector<ChannelBus::GrantTrace> trace;
+    bus.setTraceHook(
+        [&](const ChannelBus::GrantTrace &g) { trace.push_back(g); });
+    const auto sample = [&] { samples.push_back(sampleBus(eq, bus)); };
+    bus.request(BusPriority::Low, 2048, sample, "page", 256);
+    eq.schedule(300, [&] { bus.setRateScale(0.5); });
+    eq.schedule(1500, [&] { bus.setRateScale(1.0); });
+    for (Tick t : {299, 301, 1000, 1499, 1501, 2500})
+        eq.schedule(t, sample);
+    eq.run();
+    return trace;
+}
+
+// Recorded from the model that ran every slice boundary as an event,
+// as are the samples and the other goldens in this section.
+const GoldenGrant kRateChangeGrants[] = {
+    {0, 266, L, 256, "page"},      {266, 532, L, 256, "page"},
+    {532, 1054, L, 256, "page"},   {1054, 1576, L, 256, "page"},
+    {1576, 1842, L, 256, "page"},  {1842, 2108, L, 256, "page"},
+    {2108, 2374, L, 256, "page"},  {2374, 2640, L, 256, "page"},
+};
+
+TEST(ChannelBus, RateChangeMidPageTakesEffectAtTheNextSlice)
+{
+    std::vector<BusSample> samples;
+    const auto trace = rateChangeMidPage(samples);
+    expectTrace(trace, kRateChangeGrants, std::size(kRateChangeGrants));
+    EXPECT_EQ(samples, (std::vector<BusSample>{
+                           {299, 532, 2, 512},
+                           {301, 532, 2, 512},
+                           {1000, 1054, 3, 768},
+                           {1499, 1576, 4, 1024},
+                           {1501, 1576, 4, 1024},
+                           {2500, 2640, 8, 2048},
+                           {2640, 2640, 8, 2048},
+                       }));
+}
+
+/**
+ * Two sliced pages with a High request cutting into the first; the
+ * hook sees every slice in grant order, and (because boundaries that
+ * re-grant the same page pass silently even with a hook installed) a
+ * run's slices are reported when the run ends.
+ */
+TEST(ChannelBus, TraceHookSeesSilentSlicesInOrder)
+{
+    EventQueue eq;
+    ChannelBus bus(eq, 1.0, 0);
+    std::vector<ChannelBus::GrantTrace> trace;
+    bus.setTraceHook(
+        [&](const ChannelBus::GrantTrace &g) { trace.push_back(g); });
+    bus.request(BusPriority::Low, 1024, [] {}, "page0", 256);
+    bus.request(BusPriority::Low, 1024, [] {}, "page1", 256);
+    eq.schedule(600, [&] { bus.request(BusPriority::High, 10, [] {}, "in"); });
+    std::size_t traced_mid = 0;
+    std::uint64_t grants_mid = 0;
+    eq.schedule(1500, [&] {
+        traced_mid = trace.size();
+        grants_mid = bus.grants();
+    });
+    eq.run();
+    const GoldenGrant want[] = {
+        {0, 256, L, 256, "page0"},      {256, 512, L, 256, "page0"},
+        {512, 768, L, 256, "page0"},    {768, 778, H, 10, "in"},
+        {778, 1034, L, 256, "page0"},   {1034, 1290, L, 256, "page1"},
+        {1290, 1546, L, 256, "page1"},  {1546, 1802, L, 256, "page1"},
+        {1802, 2058, L, 256, "page1"},
+    };
+    expectTrace(trace, want, std::size(want));
+    EXPECT_EQ(grants_mid, 7u);
+    // page1's slice granted at 1290 passed silently: not yet reported.
+    EXPECT_EQ(traced_mid, 6u);
+}
+
 // --- flash system -----------------------------------------------------------
 
 TEST(FlashSystem, RoutesWorkToChannels)

@@ -476,5 +476,329 @@ TEST(EventQueue, HeapMigrationKeepsFifoWithinTick)
     EXPECT_EQ(order, (std::vector<int>{0, 2, 1}));
 }
 
+// --- tickers ----------------------------------------------------------------
+
+/** What one event (or ticker callback) saw of the queue. */
+struct Seen
+{
+    Tick now;
+    std::uint64_t executed;
+    std::size_t pending;
+    int id;
+
+    bool operator==(const Seen &) const = default;
+};
+
+/**
+ * A periodic boundary run either as an EventQueue::Ticker or as the
+ * self-rescheduling event it stands in for; no other event may be
+ * able to tell them apart. Firing logs what it saw and re-arms from
+ * `plan`.
+ */
+class Boundary
+{
+  public:
+    Boundary(EventQueue &eq, bool use_ticker, int id, std::vector<Seen> &log)
+        : eq_(eq), use_ticker_(use_ticker), id_(id), log_(log),
+          ticker_([](void *b) { static_cast<Boundary *>(b)->fire(); }, this)
+    {
+    }
+
+    ~Boundary()
+    {
+        if (ticker_.armed())
+            eq_.disarm(ticker_);
+    }
+
+    bool armed() const { return armed_; }
+
+    void
+    arm(Tick period, std::uint64_t silent)
+    {
+        armed_ = true;
+        if (use_ticker_) {
+            eq_.arm(ticker_, period, silent);
+            return;
+        }
+        period_ = period;
+        silent_ = silent;
+        eq_.scheduleIn(period, [this] { boundary(); });
+    }
+
+    void
+    fireNext()
+    {
+        if (!armed_)
+            return;
+        if (use_ticker_)
+            eq_.fireNext(ticker_);
+        else
+            silent_ = 0;
+    }
+
+    std::vector<std::pair<Tick, std::uint64_t>> plan; ///< (period, silent)
+
+  private:
+    void
+    boundary()
+    {
+        if (silent_ > 0) {
+            --silent_;
+            eq_.scheduleIn(period_, [this] { boundary(); });
+            return;
+        }
+        fire();
+    }
+
+    void
+    fire()
+    {
+        armed_ = false;
+        log_.push_back({eq_.now(), eq_.executed(), eq_.pending(), id_});
+        if (next_plan_ < plan.size()) {
+            const auto [period, silent] = plan[next_plan_++];
+            arm(period, silent);
+        }
+    }
+
+    EventQueue &eq_;
+    bool use_ticker_;
+    int id_;
+    std::vector<Seen> &log_;
+    EventQueue::Ticker ticker_;
+    bool armed_ = false;
+    Tick period_ = 0;
+    std::uint64_t silent_ = 0;
+    std::size_t next_plan_ = 0;
+};
+
+/**
+ * Three boundaries (two share period 6, so one ticker lane holds two
+ * tickers; one has period 4) among random third-party events on a
+ * dense tick range, so ties with boundaries in both same-tick orders
+ * are common. Third-party events spawn children (often at the current
+ * tick), call fireNext() and arm idle boundaries; the scenario
+ * advances with runUntil() in random strides.
+ */
+class TickerScenario
+{
+  public:
+    TickerScenario(std::uint64_t seed, bool use_ticker) : rng_(seed)
+    {
+        for (int i = 0; i < 3; ++i)
+            bounds_.push_back(std::make_unique<Boundary>(
+                eq_, use_ticker, 1000 * (i + 1), log_));
+    }
+
+    std::vector<Seen>
+    run()
+    {
+        bounds_[0]->plan = {{6, 2}, {4, 0}};
+        bounds_[1]->plan = {{4, 3}};
+        for (int i = 0; i < 40; ++i)
+            spawn(rng_.below(150));
+        bounds_[0]->arm(6, 5);
+        for (int i = 0; i < 40; ++i)
+            spawn(rng_.below(150));
+        bounds_[1]->arm(6, 9);
+        bounds_[2]->arm(4, 12);
+        for (int i = 0; i < 40; ++i)
+            spawn(rng_.below(150));
+        // step() is not comparable: the event it stops after differs.
+        while (!eq_.empty()) {
+            eq_.runUntil(eq_.now() + rng_.below(10));
+            log_.push_back({eq_.now(), eq_.executed(), eq_.pending(), -1});
+        }
+        return log_;
+    }
+
+  private:
+    void
+    spawn(Tick when)
+    {
+        const int id = next_id_++;
+        eq_.schedule(when, [this, id] { act(id); });
+    }
+
+    void
+    act(int id)
+    {
+        log_.push_back({eq_.now(), eq_.executed(), eq_.pending(), id});
+        if (rng_.chance(0.3))
+            spawn(eq_.now() + rng_.below(7));
+        if (rng_.chance(0.15))
+            bounds_[rng_.below(3)]->fireNext();
+        if (rng_.chance(0.15)) {
+            Boundary &b = *bounds_[rng_.below(3)];
+            if (!b.armed())
+                b.arm(rng_.chance(0.5) ? 4 : 6, rng_.below(8));
+        }
+    }
+
+    EventQueue eq_;
+    Rng rng_;
+    std::vector<Seen> log_;
+    std::vector<std::unique_ptr<Boundary>> bounds_;
+    int next_id_ = 0;
+};
+
+TEST(EventQueueTicker, MatchesSelfReschedulingEventExactly)
+{
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        const std::vector<Seen> want = TickerScenario(seed, false).run();
+        const std::vector<Seen> got = TickerScenario(seed, true).run();
+        ASSERT_EQ(got, want) << "seed " << seed;
+        // Boundary callbacks really ran (ids 1000..3000).
+        EXPECT_GE(std::count_if(got.begin(), got.end(),
+                                [](const Seen &r) { return r.id >= 1000; }),
+                  4)
+            << "seed " << seed;
+    }
+}
+
+TEST(EventQueueTicker, SilentBoundariesCountAsEvents)
+{
+    EventQueue eq;
+    int fired = 0;
+    EventQueue::Ticker t([](void *n) { ++*static_cast<int *>(n); }, &fired);
+    eq.arm(t, 10, 3);
+    EXPECT_TRUE(t.armed());
+    eq.run();
+    EXPECT_EQ(fired, 1);
+    EXPECT_FALSE(t.armed());
+    EXPECT_EQ(t.passes(), 3u);
+    EXPECT_EQ(eq.now(), 40u);
+    EXPECT_EQ(eq.executed(), 4u);
+}
+
+/** Tick the ticker's callback runs at when a fireNext() event at tick
+ *  30 is ordered before (or after) the boundary at 30. */
+Tick
+fireNextAt30(bool before_boundary)
+{
+    EventQueue eq;
+    Tick fired_at = 0;
+    struct Ctx
+    {
+        EventQueue *eq;
+        Tick *at;
+    } ctx{&eq, &fired_at};
+    EventQueue::Ticker t(
+        [](void *c) {
+            auto *x = static_cast<Ctx *>(c);
+            *x->at = x->eq->now();
+        },
+        &ctx);
+    if (before_boundary) {
+        // Numbered before the arm, so ahead of every boundary.
+        eq.schedule(30, [&] { eq.fireNext(t); });
+        eq.arm(t, 10, 5);
+    } else {
+        eq.arm(t, 10, 5);
+        // Numbered at 25, after the boundary at 30 took its number
+        // (at the pass at 20).
+        eq.schedule(25, [&] { eq.schedule(30, [&] { eq.fireNext(t); }); });
+    }
+    eq.run();
+    EXPECT_FALSE(t.armed());
+    return fired_at;
+}
+
+TEST(EventQueueTicker, FireNextAtABoundaryTickHonoursSequenceOrder)
+{
+    EXPECT_EQ(fireNextAt30(true), 30u);
+    EXPECT_EQ(fireNextAt30(false), 40u);
+}
+
+TEST(EventQueueTicker, RunUntilStopsAroundBoundaries)
+{
+    EventQueue eq;
+    int fired = 0;
+    EventQueue::Ticker t([](void *n) { ++*static_cast<int *>(n); }, &fired);
+    eq.arm(t, 10, 3); // passes at 10, 20, 30; fires at 40
+    EXPECT_EQ(eq.pending(), 1u);
+    EXPECT_FALSE(eq.empty());
+    eq.schedule(5, [] {});
+    EXPECT_EQ(eq.pending(), 2u);
+
+    EXPECT_EQ(eq.runUntil(25), 25u);
+    EXPECT_EQ(eq.executed(), 3u); // the event at 5 + passes at 10, 20
+    EXPECT_EQ(t.passes(), 2u);
+    EXPECT_EQ(eq.pending(), 1u);
+    EXPECT_EQ(eq.runUntil(30), 30u); // a boundary exactly at the limit
+    EXPECT_EQ(t.passes(), 3u);
+    EXPECT_EQ(eq.runUntil(39), 39u);
+    EXPECT_EQ(fired, 0);
+    EXPECT_TRUE(t.armed());
+    EXPECT_EQ(eq.runUntil(40), 40u);
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(eq.executed(), 5u);
+    EXPECT_TRUE(eq.empty());
+    EXPECT_EQ(eq.pending(), 0u);
+    EXPECT_FALSE(eq.step());
+}
+
+TEST(EventQueueTicker, ResetDisarms)
+{
+    EventQueue eq;
+    int fired = 0;
+    EventQueue::Ticker t([](void *n) { ++*static_cast<int *>(n); }, &fired);
+    eq.arm(t, 10, 3);
+    eq.schedule(15, [] {});
+    eq.runUntil(12);
+    eq.reset();
+    EXPECT_FALSE(t.armed());
+    EXPECT_TRUE(eq.empty());
+    EXPECT_EQ(eq.pending(), 0u);
+    EXPECT_EQ(eq.now(), 0u);
+    eq.run();
+    EXPECT_EQ(fired, 0);
+    // The record is reusable after a reset.
+    eq.arm(t, 7, 0);
+    eq.run();
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(eq.now(), 7u);
+}
+
+TEST(EventQueueTicker, LanesOfDifferentPeriodsInterleave)
+{
+    EventQueue eq;
+    std::vector<std::pair<Tick, int>> fired;
+    struct Ctx
+    {
+        EventQueue *eq;
+        std::vector<std::pair<Tick, int>> *fired;
+        int id;
+    };
+    Ctx ca{&eq, &fired, 0}, cb{&eq, &fired, 1}, cc{&eq, &fired, 2};
+    const auto log = [](void *c) {
+        auto *x = static_cast<Ctx *>(c);
+        x->fired->emplace_back(x->eq->now(), x->id);
+    };
+    EventQueue::Ticker a(log, &ca), b(log, &cb), c(log, &cc);
+    eq.arm(a, 3, 3); // 3 6 9 pass, fires at 12
+    eq.arm(b, 4, 2); // 4 8 pass, fires at 12 (numbered after a's 12)
+    eq.arm(c, 3, 1); // same lane as a; withdrawn before it fires
+    eq.schedule(12, [&] { fired.emplace_back(eq.now(), 9); });
+    eq.runUntil(4);
+    eq.disarm(c);
+    EXPECT_FALSE(c.armed());
+    eq.run();
+    // The event at 12 was numbered first; a's and b's final
+    // boundaries took their numbers at 9 and 8, b's before a's.
+    EXPECT_EQ(fired, (std::vector<std::pair<Tick, int>>{
+                         {12, 9}, {12, 1}, {12, 0}}));
+    EXPECT_EQ(eq.executed(), 3u + 2u + 1u + 3u);
+}
+
+TEST(EventQueueTickerDeath, ArmingAnArmedTickerPanics)
+{
+    EventQueue eq;
+    EventQueue::Ticker t([](void *) {}, nullptr);
+    eq.arm(t, 10, 0);
+    EXPECT_DEATH(eq.arm(t, 10, 0), "armed twice");
+    eq.disarm(t);
+}
+
 } // namespace
 } // namespace camllm

@@ -96,7 +96,7 @@ main()
     for (const Block &b : blocks)
         for (const core::CamConfig &cfg : b.cfgs)
             jobs.emplace_back(cfg, m);
-    const auto stats = bench::runSweepMemo(jobs);
+    const auto stats = bench::runSweep(jobs);
 
     const double base = stats[0].tokens_per_s;
     std::cout << "baseline: " << Table::fmt(base, 2) << " token/s\n\n";

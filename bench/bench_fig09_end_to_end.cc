@@ -90,7 +90,7 @@ main()
             jobs.emplace_back(cfg, m);
             note(cfg, m);
         }
-    const auto stats = bench::runSweepMemo(jobs);
+    const auto stats = bench::runSweep(jobs);
     for (std::size_t i = 0; i < jobs.size(); ++i)
         json.add(jobs[i].first.name + "." + jobs[i].second.name +
                      ".tokens_per_s",

@@ -45,7 +45,7 @@ main()
             cfg.forced_tile = s.forced;
             jobs.emplace_back(cfg, m);
         }
-    const auto stats = bench::runSweepMemo(jobs);
+    const auto stats = bench::runSweep(jobs);
 
     std::vector<std::vector<double>> speeds;
     std::size_t j = 0;

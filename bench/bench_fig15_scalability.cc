@@ -38,7 +38,7 @@ sweepGrid(const char *speed_title, const char *util_title,
     for (const auto &m : models)
         for (auto c : points)
             jobs.emplace_back(make_cfg(c), m);
-    const auto stats = bench::runSweepMemo(jobs);
+    const auto stats = bench::runSweep(jobs);
 
     std::size_t j = 0;
     for (const auto &m : models) {

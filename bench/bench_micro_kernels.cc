@@ -129,20 +129,6 @@ BM_GemvInt8Scalar(benchmark::State &state)
 BENCHMARK(BM_GemvInt8Scalar)->Arg(128)->Arg(512);
 
 void
-BM_GemvInt8Fast(benchmark::State &state)
-{
-    const std::uint32_t d = std::uint32_t(state.range(0));
-    GemvFixture f(d);
-    for (auto _ : state) {
-        llm::gemvFast(f.w, f.x, f.y);
-        benchmark::DoNotOptimize(f.y.data());
-    }
-    state.SetItemsProcessed(state.iterations() * std::uint64_t(d) * d);
-    state.SetLabel(llm::gemvFastUsesAvx2() ? "avx2" : "fallback");
-}
-BENCHMARK(BM_GemvInt8Fast)->Arg(128)->Arg(512);
-
-void
 BM_EccEncodePage(benchmark::State &state)
 {
     ecc::OutlierCodec codec;
@@ -346,18 +332,10 @@ emitJson(double bench_wall_s)
             llm::gemvScalar(f.w, f.x, f.y);
             benchmark::DoNotOptimize(f.y.data());
         });
-        const double fast = bestSeconds(20, [&] {
-            llm::gemvFast(f.w, f.x, f.y);
-            benchmark::DoNotOptimize(f.y.data());
-        });
         const double elems = double(d) * d;
         j.add("gemv512.blocked_elems_per_s", elems / blocked);
         j.add("gemv512.scalar_elems_per_s", elems / scalar);
         j.add("gemv512.speedup_vs_scalar", scalar / blocked);
-        j.add("gemv512.simd_elems_per_s", elems / fast);
-        j.add("gemv512.simd_speedup_vs_scalar", scalar / fast);
-        j.add("gemv512.simd_is_avx2",
-              std::uint64_t(llm::gemvFastUsesAvx2() ? 1 : 0));
     }
     {
         const auto stats =

@@ -86,7 +86,6 @@
 #include "bench_util.h"
 #include "core/area_model.h"
 #include "core/arrivals.h"
-#include "core/batch_engine.h"
 #include "core/fleet.h"
 #include "core/scheduler.h"
 #include "core/sweep.h"
@@ -98,28 +97,19 @@ using namespace camllm;
 
 namespace {
 
-std::vector<core::RequestSpec>
+/** Decode-only requests (warm KV, no prompt), all arriving at 0. */
+std::vector<core::ServeRequest>
 mixedWorkload(std::size_t n_requests, std::uint32_t decode_tokens)
 {
     // Long-context serving mix: attention DRAM stalls leave channel
     // bubbles a single stream cannot fill, which is exactly what
     // continuous batching recovers.
     const std::uint32_t ctx[] = {2048, 4096, 8192, 16384};
-    std::vector<core::RequestSpec> reqs;
+    std::vector<core::ServeRequest> reqs;
     reqs.reserve(n_requests);
     for (std::size_t i = 0; i < n_requests; ++i)
-        reqs.push_back({ctx[i % 4], decode_tokens});
+        reqs.push_back({0, ctx[i % 4], decode_tokens, 0});
     return reqs;
-}
-
-std::vector<core::ServeRequest>
-decodeOnly(const std::vector<core::RequestSpec> &reqs)
-{
-    std::vector<core::ServeRequest> out;
-    out.reserve(reqs.size());
-    for (const core::RequestSpec &r : reqs)
-        out.push_back({0, r.context, r.decode_tokens, 0});
-    return out;
 }
 
 void
@@ -203,7 +193,7 @@ main(int argc, char **argv)
 
     if (!arrivals_only && !kv_only && !fault_only && !rel_only &&
         !fleet_only) {
-        const std::vector<core::RequestSpec> reqs =
+        const std::vector<core::ServeRequest> reqs =
             mixedWorkload(smoke ? 8 : 16, 1);
         const std::vector<std::uint32_t> batches =
             smoke ? std::vector<std::uint32_t>{1, 4}
@@ -214,11 +204,13 @@ main(int argc, char **argv)
                   << " requests, contexts 2K/4K/8K/16K\n";
 
         // Every batch point is an independent co-simulation; fan them
-        // out over the sweep pool (results stay index-ordered).
-        const core::BatchEngine engine(cfg, model);
-        const auto stats = sweep.map<core::BatchStats>(
+        // out over the sweep pool (results stay index-ordered). The
+        // default options are decode-first FCFS with a free NPU.
+        const auto stats = sweep.map<core::ServeStats>(
             batches.size(), [&](std::size_t i) {
-                return engine.run(reqs, batches[i]);
+                core::SchedOptions opt;
+                opt.max_batch = batches[i];
+                return sched.serve(reqs, opt);
             });
 
         // The same sweep against a contended NPU: systolic-array and
@@ -226,13 +218,12 @@ main(int argc, char **argv)
         // for free. Smoke runs one point to bound CI cost.
         const std::vector<std::uint32_t> nbatches =
             smoke ? std::vector<std::uint32_t>{4} : batches;
-        const auto sreqs = decodeOnly(reqs);
         const auto nstats = sweep.map<core::ServeStats>(
             nbatches.size(), [&](std::size_t i) {
                 core::SchedOptions opt;
                 opt.max_batch = nbatches[i];
                 opt.npu_contention = true;
-                return sched.serve(sreqs, opt);
+                return sched.serve(reqs, opt);
             });
 
         Table t("Serving throughput vs batch limit (free vs "
@@ -241,7 +232,7 @@ main(int argc, char **argv)
                   "chan util", "fairness", "npu agg tok/s",
                   "npu array util"});
         for (std::size_t i = 0; i < batches.size(); ++i) {
-            const core::BatchStats &b = stats[i];
+            const core::ServeStats &b = stats[i];
             std::size_t ni = nbatches.size();
             for (std::size_t j = 0; j < nbatches.size(); ++j)
                 if (nbatches[j] == batches[i])
@@ -317,12 +308,12 @@ main(int argc, char **argv)
                  std::uint64_t(contention_sane ? 1 : 0));
 
         // Per-request service detail at the largest batch.
-        const core::BatchStats &big = stats.back();
+        const core::ServeStats &big = stats.back();
         Table d("Per-request service at batch " +
                 std::to_string(batches.back()));
         d.header({"req", "context", "tokens", "admit (ms)",
                   "finish (ms)", "mean tok (ms)", "tok/s"});
-        for (const core::RequestStats &r : big.requests)
+        for (const core::ServeRequestStats &r : big.requests)
             d.row({Table::fmtInt(r.id), Table::fmtInt(r.context),
                    Table::fmtInt(r.decode_tokens),
                    Table::fmt(double(r.admit_tick) / 1e6, 2),

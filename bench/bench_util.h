@@ -50,28 +50,6 @@ runSweep(const std::vector<SweepJob> &jobs)
     });
 }
 
-/**
- * runSweep through the process-wide SweepCache: repeated points (and,
- * with CAMLLM_SWEEP_CACHE set, points simulated by earlier runs) skip
- * the co-simulation. New points are persisted back when the env var
- * names a cache file.
- */
-inline std::vector<core::TokenStats>
-runSweepMemo(const std::vector<SweepJob> &jobs)
-{
-    core::ParallelSweep sweep;
-    auto out = sweep.mapMemo(
-        core::SweepCache::global(), jobs.size(),
-        [&](std::size_t i) {
-            return core::sweepKey(jobs[i].first, jobs[i].second);
-        },
-        [&](std::size_t i) {
-            return run(jobs[i].first, jobs[i].second);
-        });
-    core::SweepCache::saveGlobal();
-    return out;
-}
-
 /** Print a standard header naming the figure being reproduced. */
 inline void
 banner(const std::string &what)

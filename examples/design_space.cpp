@@ -4,11 +4,6 @@
  * and chip counts, simulate the target workload on each candidate,
  * and report the cheapest configurations that meet a decode-speed
  * goal — the kind of exploration Table II's S/M/L presets came from.
- *
- * The sweep is memoized: each (config, model) point keys into a
- * SweepCache, so iterating on the grid re-simulates only new points.
- * Set CAMLLM_SWEEP_CACHE=/path/to/file to keep the cache across runs
- * (the second invocation answers instantly).
  */
 
 #include <cstdio>
@@ -56,24 +51,12 @@ main()
         for (std::uint32_t chips : {2u, 4u, 8u})
             grid.emplace_back(ch, chips);
 
-    core::ParallelSweep sweep;
-    core::SweepCache &cache = core::SweepCache::global();
-    const auto stats = sweep.mapMemo(
-        cache, grid.size(),
-        [&](std::size_t i) {
-            return core::sweepKey(
-                core::presetCustom(grid[i].first, grid[i].second),
-                model);
-        },
-        [&](std::size_t i) {
+    const auto stats = core::ParallelSweep().map<core::TokenStats>(
+        grid.size(), [&](std::size_t i) {
             core::CamConfig cfg =
                 core::presetCustom(grid[i].first, grid[i].second);
             return core::CambriconEngine(cfg, model).decodeToken();
         });
-    if (cache.hits() > 0)
-        std::printf("(sweep cache: %llu of %zu points reused)\n\n",
-                    (unsigned long long)cache.hits(), grid.size());
-    core::SweepCache::saveGlobal();
 
     for (std::size_t i = 0; i < grid.size(); ++i) {
         const auto [ch, chips] = grid[i];

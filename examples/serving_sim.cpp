@@ -3,7 +3,7 @@
  * Serving scenario: an on-device assistant under load.
  *
  * Part 1 — burst: twelve warm-context requests land at once and the
- * engine serves them with continuous batching at a batch limit of 4,
+ * scheduler serves them with continuous batching at a batch limit of 4,
  * compared against strictly serial service of the same queue.
  *
  * Part 2 — arrivals: chat turns with real prompts arrive as a seeded
@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "core/arrivals.h"
-#include "core/batch_engine.h"
 #include "core/presets.h"
 #include "core/scheduler.h"
 #include "llm/model_config.h"
@@ -48,25 +47,29 @@ main()
     const CamConfig cfg = presetL();
     const llm::ModelConfig model = llm::llama2_70b();
 
-    // (context, reply tokens): chat turns, two long-document queries,
-    // code completions.
-    const std::vector<RequestSpec> queue = {
-        {512, 3},   {768, 2},  {1024, 3}, {640, 2},
-        {8192, 2},  {12288, 2},
-        {2048, 3},  {1536, 2}, {3072, 2}, {896, 3},
-        {4096, 2},  {1280, 2},
+    // (prompt, context, reply tokens, arrival): warm-KV chat turns,
+    // two long-document queries, code completions, all at once.
+    const std::vector<ServeRequest> queue = {
+        {0, 512, 3, 0},  {0, 768, 2, 0},   {0, 1024, 3, 0},
+        {0, 640, 2, 0},  {0, 8192, 2, 0},  {0, 12288, 2, 0},
+        {0, 2048, 3, 0}, {0, 1536, 2, 0},  {0, 3072, 2, 0},
+        {0, 896, 3, 0},  {0, 4096, 2, 0},  {0, 1280, 2, 0},
     };
 
-    BatchEngine engine(cfg, model);
-    const BatchStats batched = engine.run(queue, 4);
-    const BatchStats serial = engine.run(queue, 1);
+    // Default options: decode-first FCFS with a free NPU.
+    const Scheduler sched(cfg, model);
+    SchedOptions burst;
+    burst.max_batch = 4;
+    const ServeStats batched = sched.serve(queue, burst);
+    burst.max_batch = 1;
+    const ServeStats serial = sched.serve(queue, burst);
 
     std::printf("camllm serving_sim: %zu requests on %s / %s\n\n",
                 queue.size(), cfg.name.c_str(), model.name.c_str());
     std::printf("%4s %8s %7s %11s %12s %14s %8s\n", "req", "context",
                 "tokens", "admit (ms)", "finish (ms)", "mean tok (ms)",
                 "tok/s");
-    for (const RequestStats &r : batched.requests)
+    for (const ServeRequestStats &r : batched.requests)
         std::printf("%4u %8u %7u %11.2f %12.2f %14.1f %8.3f\n", r.id,
                     r.context, r.decode_tokens,
                     double(r.admit_tick) / 1e6,
@@ -103,7 +106,6 @@ main()
     const ArrivalTrace trace =
         ArrivalTrace::poisson(0.4, 8, /*seed=*/2024, shapes);
 
-    const Scheduler sched(cfg, model);
     const auto serveWith = [&](SchedPolicy policy) {
         SchedOptions opt;
         opt.max_batch = 4;

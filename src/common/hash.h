@@ -1,8 +1,8 @@
 /**
  * @file
- * Small FNV-1a hashing helper for memoization keys. Hashes the byte
- * representation of trivially-copyable values plus strings, so two
- * configuration structs hash equal exactly when their fields do.
+ * Small FNV-1a hashing helper for deterministic seeds and result
+ * fingerprints. Hashes the byte representation of trivially-copyable
+ * values plus strings.
  */
 
 #ifndef CAMLLM_COMMON_HASH_H

@@ -27,7 +27,7 @@ namespace camllm::core {
 struct ServeRequest
 {
     /** Prompt tokens to prefill; 0 means the KV cache is already warm
-     *  (the PR 2 decode-only request shape). */
+     *  (a decode-only request). */
     std::uint32_t prompt = 0;
 
     /** KV entries cached before this request's prompt (decode-only

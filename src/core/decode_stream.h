@@ -8,7 +8,7 @@
  * reads tagged with its flash ClientId, reacts to tagged completions,
  * and extrapolates the sampled layers to the model's full depth. The
  * event queue, DRAM model, flash system and plan cache are shared —
- * one stream per request is exactly how `core::BatchEngine` batches,
+ * one stream per request is exactly how `core::Scheduler` batches,
  * and a single stream over private resources is the classic
  * single-request engine.
  */
@@ -134,7 +134,7 @@ class DecodeStream
 
     /**
      * Cap on this stream's in-flight NPU read bytes (the prefetch
-     * window). Defaults to the full NPU weight buffer; BatchEngine
+     * window). Defaults to the full NPU weight buffer; the scheduler
      * divides the buffer across active streams.
      */
     void setReadBudget(std::uint64_t bytes) { read_budget_ = bytes; }

@@ -13,7 +13,7 @@ namespace {
 /**
  * One single-request co-simulation: private event queue, DRAM and
  * flash device, one DecodeStream driving one token (or one prefill
- * pass). The multi-request path lives in core::BatchEngine and shares
+ * pass). The multi-request path lives in core::Scheduler and shares
  * these resources across streams instead.
  */
 TokenStats

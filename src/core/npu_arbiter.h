@@ -14,8 +14,8 @@
  *
  * In free mode (`contended == false`) streams bypass the arbiter
  * entirely and schedule exactly as before — acquire() refuses to run
- * at all — which is what keeps the decode-only FCFS scheduler
- * bit-identical to the PR 2 BatchEngine.
+ * at all — which is what keeps decode-only FCFS scheduling
+ * bit-identical to its recorded golden stats.
  */
 
 #ifndef CAMLLM_CORE_NPU_ARBITER_H

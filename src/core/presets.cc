@@ -1,39 +1,6 @@
 #include "presets.h"
 
-#include "common/hash.h"
-
 namespace camllm::core {
-
-std::uint64_t
-configHash(const CamConfig &cfg)
-{
-    Fnv1a h;
-    // The name is presentation only and deliberately excluded: two
-    // identically-parameterized configs must hit the same cache line.
-    const auto &g = cfg.flash.geometry;
-    h.add(g.channels).add(g.chips_per_channel).add(g.dies_per_chip);
-    h.add(g.planes_per_die).add(g.compute_cores_per_die);
-    h.add(g.blocks_per_plane).add(g.pages_per_block);
-    h.add(g.page_bytes).add(g.spare_bytes);
-    const auto &t = cfg.flash.timing;
-    h.add(t.t_read).add(t.bus_mts).add(t.bus_bits);
-    h.add(t.grant_overhead).add(t.t_reg_move);
-    h.add(t.core_gops).add(t.slice_bytes);
-    const auto &n = cfg.npu;
-    h.add(n.tops).add(n.sfu_elems_per_ns).add(n.dram_gbps);
-    h.add(n.dram_latency).add(n.weight_buffer_bytes);
-    h.add(static_cast<std::uint32_t>(cfg.quant));
-    h.add(cfg.seq_len);
-    h.add(cfg.slicing).add(cfg.hybrid_tiling).add(cfg.prefetch);
-    h.add(cfg.forced_tile.has_value());
-    if (cfg.forced_tile) {
-        h.add(cfg.forced_tile->h);
-        h.add(cfg.forced_tile->w);
-    }
-    h.add(cfg.out_elem_bytes).add(cfg.tile_window);
-    h.add(cfg.sample_layers);
-    return h.value();
-}
 
 CamConfig
 presetCustom(std::uint32_t channels, std::uint32_t chips)

@@ -78,14 +78,6 @@ CamConfig presetL();
 /** Preset with an arbitrary channel/chip count (Fig 15 sweeps). */
 CamConfig presetCustom(std::uint32_t channels, std::uint32_t chips);
 
-/**
- * Structural hash over every simulated knob of a configuration (and
- * its flash/NPU parameter structs). Two configs hash equal exactly
- * when they would simulate identically, which is what keys the
- * sweep-level memoization cache.
- */
-std::uint64_t configHash(const CamConfig &cfg);
-
 } // namespace camllm::core
 
 #endif // CAMLLM_CORE_PRESETS_H

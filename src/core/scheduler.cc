@@ -104,8 +104,8 @@ Scheduler::serve(const std::vector<ServeRequest> &requests,
                 infeasible[i] = 1;
 
     // Shared device, same construction order as the single-request
-    // engine (and PR 2's BatchEngine) so a decode-only FCFS run
-    // replays its exact event sequence.
+    // engine so a decode-only FCFS batch of one replays its exact
+    // event sequence.
     EventQueue eq;
     npu::DramModel dram(eq, config_.npu);
     flash::FlashSystem fs(eq, config_.flash, config_.tile_window,
@@ -619,7 +619,7 @@ Scheduler::serve(const std::vector<ServeRequest> &requests,
         r.stats.total_token_time += s.token_time;
         if (r.tokens_done == 0 && r.spec.prompt == 0) {
             // Decode-only request: its first decode step emits the
-            // first token (BatchEngine-compatible first_token).
+            // first token.
             r.stats.first_token = s;
             r.stats.first_token_tick = eq.now();
             r.first_emitted = true;
@@ -914,7 +914,7 @@ Scheduler::serve(const std::vector<ServeRequest> &requests,
             // slot is held from admission, the stream just waits for
             // its start slot. A delay of zero starts synchronously,
             // which keeps the decode-only event sequence identical to
-            // PR 2's BatchEngine.
+            // its recorded golden stats.
             Tick start = initial_wave ? Tick(i) * opt.admission_stagger
                                       : eq.now();
             if (start < r.spec.arrival)
@@ -1042,26 +1042,17 @@ Scheduler::serve(const std::vector<ServeRequest> &requests,
     // is known): a fired event on a finished run is a no-op. With
     // neither armed and no faults, nothing extra enters the queue and
     // the event sequence is bit-identical to the pre-resilience
-    // scheduler; when extras ARE armed, trailing no-op events would
-    // inflate eq.now(), so the makespan falls back to the tracked
-    // last-request-exit horizon.
-    // kv_swap also dirties the timeline: fire-and-forget swap-out
-    // write grants drain at Low priority after the last request exit
-    // and would inflate eq.now().
-    bool timeline_clean = !faults.any() &&
-                          opt.request_deadline == 0 && !opt.kv_swap;
+    // scheduler.
     for (std::size_t i = 0; i < requests.size(); ++i) {
         if (opt.request_deadline > 0)
             eq.schedule(requests[i].arrival + opt.request_deadline,
                         [&, i] {
                             killRun(i, RequestOutcome::TimedOut);
                         });
-        if (requests[i].cancel_at > 0) {
-            timeline_clean = false;
+        if (requests[i].cancel_at > 0)
             eq.schedule(requests[i].cancel_at, [&, i] {
                 killRun(i, RequestOutcome::Cancelled);
             });
-        }
     }
 
     admit();
@@ -1097,7 +1088,10 @@ Scheduler::serve(const std::vector<ServeRequest> &requests,
 
     ServeStats out;
     out.max_batch = opt.max_batch;
-    out.sim_makespan = timeline_clean ? eq.now() : horizon;
+    // The last request exit, not eq.now(): trailing no-op deadline
+    // and cancel events, fault-model timers and Low-priority swap-out
+    // writes can all drain after it.
+    out.sim_makespan = horizon;
     out.sim_events = eq.executed();
     out.requests.reserve(runs.size());
 

@@ -16,8 +16,9 @@
  * Policies:
  *  - DecodeFirstFcfs: FCFS admission; an admitted prompt prefills in
  *    a single whole-prompt chunk. With free NPU arbitration and
- *    decode-only requests this reproduces the PR 2 BatchEngine event
- *    sequence bit-identically (enforced by tests).
+ *    decode-only requests this reproduces the recorded golden
+ *    decode-only event sequence bit-identically (enforced by tests);
+ *    a batch of one replays CambriconEngine::decodeToken().
  *  - ChunkedInterleave: Sarathi-style token budget; prompts prefill
  *    in chunks of at most `prefill_chunk` tokens, so in-flight decode
  *    tokens interleave with prefill on the shared device instead of
@@ -76,7 +77,7 @@ namespace camllm::core {
 /** Prefill/decode co-scheduling policy. */
 enum class SchedPolicy
 {
-    DecodeFirstFcfs,  ///< whole-prompt prefill, FCFS slots (PR 2-like)
+    DecodeFirstFcfs,  ///< whole-prompt prefill, FCFS slots
     ChunkedInterleave ///< chunked prefill under a token budget
 };
 
@@ -117,7 +118,9 @@ struct SchedOptions
     bool npu_contention = false;
 
     /** Initial-wave stagger: slot i of the first admission wave
-     *  starts i * stagger ticks in (PR 2 BatchEngine semantics). */
+     *  starts i * stagger ticks in, decorrelating the streams' layer
+     *  phases (identical requests admitted together resonate on the
+     *  DRAM in a way arrival jitter never would). */
     Tick admission_stagger = 0;
 
     /**
@@ -237,8 +240,10 @@ struct ServeRequestStats
     /**
      * Stats of the step that emitted the first token: the last
      * prefill chunk when prompt > 0, else the first decode step
-     * (bit-compatible with RequestStats::first_token for decode-only
-     * requests).
+     * (bit-identical to CambriconEngine::decodeToken() for a lone
+     * decode-only request at context == seq_len). With batch > 1 the
+     * device-wide fields (channel/DRAM bytes, utilization) cover all
+     * streams over the step's span.
      */
     TokenStats first_token;
 
@@ -301,20 +306,29 @@ struct ServeStats
      *  prefilled prompt. */
     std::uint64_t total_tokens = 0;
 
+    /** Last request exit on the sampled-layer sim clock. */
     Tick sim_makespan = 0;
+
+    /** Mean extrapolated/simulated service-time ratio
+     *  (~depth/sample). */
     double extrapolation_factor = 1.0;
 
     /** Kernel events executed by the run's event queue — the
      *  denominator for events/sec reporting at fleet scale. */
     std::uint64_t sim_events = 0;
 
-    /** Same definitions as BatchStats (PR 2): steady-state and
-     *  whole-finite-run decode throughput. */
+    /** Steady-state throughput: effective concurrency
+     *  (min(max_batch, requests)) times the mean per-request decode
+     *  rate, each rate measured under contention and extrapolated to
+     *  model depth — "tokens/sec at batch N". */
     double aggregate_tokens_per_s = 0.0;
+
+    /** total_tokens over the depth-extrapolated makespan (includes
+     *  ramp-up and drain tails). */
     double finite_run_tokens_per_s = 0.0;
 
-    double avg_channel_util = 0.0;
-    double fairness_jain = 1.0;
+    double avg_channel_util = 0.0; ///< mean over the makespan
+    double fairness_jain = 1.0; ///< Jain index over tokens_per_s
 
     LatencySummary ttft; ///< over requests
     LatencySummary tbt;  ///< over all subsequent-token gaps

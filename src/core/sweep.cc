@@ -1,9 +1,6 @@
 #include "sweep.h"
 
-#include <cinttypes>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "common/logging.h"
 
@@ -27,126 +24,6 @@ ParallelSweep::hardwareThreads()
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;
-}
-
-bool
-SweepCache::lookup(std::uint64_t key, TokenStats &out) const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = map_.find(key);
-    if (it == map_.end()) {
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        return false;
-    }
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    out = it->second;
-    return true;
-}
-
-void
-SweepCache::store(std::uint64_t key, const TokenStats &stats)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    map_.emplace(key, stats);
-}
-
-std::size_t
-SweepCache::size() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return map_.size();
-}
-
-namespace {
-
-/** Cache-file schema header; versioned so an older file is rejected
- *  (its keys are also version-salted, belt and braces). */
-constexpr char kCacheHeader[] = "camllm-sweep-cache v2";
-
-} // namespace
-
-bool
-SweepCache::load(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "r");
-    if (!f)
-        return false;
-    char header[64] = {};
-    if (!std::fgets(header, sizeof header, f) ||
-        std::strncmp(header, kCacheHeader, sizeof kCacheHeader - 1) !=
-            0) {
-        warn("ignoring sweep cache '%s': wrong or missing header",
-             path.c_str());
-        std::fclose(f);
-        return false;
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    std::uint64_t key;
-    TokenStats s;
-    unsigned extrapolated;
-    while (std::fscanf(
-               f,
-               "%" SCNx64 " %" SCNu64 " %lg %lg %" SCNu64 " %" SCNu64
-               " %" SCNu64 " %" SCNu64 " %" SCNu64 " %" SCNu64
-               " %lg %lg %" SCNu64 " %" SCNu64 " %u %" SCNu32 "\n",
-               &key, &s.token_time, &s.tokens_per_s,
-               &s.avg_channel_util, &s.channel_bytes_high,
-               &s.channel_bytes_low, &s.dram_bytes, &s.array_read_bytes,
-               &s.pages_computed, &s.pages_read, &s.npu_flops,
-               &s.flash_flops, &s.weight_bytes_flash,
-               &s.weight_bytes_npu, &extrapolated,
-               &s.simulated_layers) == 16) {
-        s.extrapolated = extrapolated != 0;
-        map_.emplace(key, s);
-    }
-    std::fclose(f);
-    return true;
-}
-
-bool
-SweepCache::save(const std::string &path) const
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        return false;
-    std::fprintf(f, "%s\n", kCacheHeader);
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto &[key, s] : map_) {
-        std::fprintf(
-            f,
-            "%" PRIx64 " %" PRIu64 " %.17g %.17g %" PRIu64 " %" PRIu64
-            " %" PRIu64 " %" PRIu64 " %" PRIu64 " %" PRIu64
-            " %.17g %.17g %" PRIu64 " %" PRIu64 " %u %" PRIu32 "\n",
-            key, s.token_time, s.tokens_per_s, s.avg_channel_util,
-            s.channel_bytes_high, s.channel_bytes_low, s.dram_bytes,
-            s.array_read_bytes, s.pages_computed, s.pages_read,
-            s.npu_flops, s.flash_flops, s.weight_bytes_flash,
-            s.weight_bytes_npu, unsigned(s.extrapolated),
-            s.simulated_layers);
-    }
-    const bool ok = std::fflush(f) == 0 && std::ferror(f) == 0;
-    std::fclose(f);
-    return ok;
-}
-
-SweepCache &
-SweepCache::global()
-{
-    static SweepCache *cache = [] {
-        auto *c = new SweepCache;
-        if (const char *env = std::getenv("CAMLLM_SWEEP_CACHE"))
-            c->load(env); // absent file: cold start, saved later
-        return c;
-    }();
-    return *cache;
-}
-
-void
-SweepCache::saveGlobal()
-{
-    if (const char *env = std::getenv("CAMLLM_SWEEP_CACHE"))
-        if (!global().save(env))
-            warn("failed to persist sweep cache to '%s'", env);
 }
 
 } // namespace camllm::core

@@ -9,13 +9,6 @@
  * counter and writes results into an index-addressed vector, so the
  * output order (and therefore every printed table) is identical to
  * the sequential run no matter how the OS schedules workers.
- *
- * Sweeps can opt into memoization through a SweepCache: each point is
- * keyed by (config hash, model hash, knob) and already-simulated
- * points return their cached TokenStats without re-running the
- * co-simulation, which makes iterative design-space exploration
- * incremental — including across processes when the cache is
- * persisted via CAMLLM_SWEEP_CACHE.
  */
 
 #ifndef CAMLLM_CORE_SWEEP_H
@@ -24,83 +17,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
-#include <cstdint>
-#include <mutex>
-#include <string>
 #include <thread>
 #include <type_traits>
-#include <unordered_map>
 #include <vector>
 
-#include "common/hash.h"
-#include "core/engine.h"
-#include "core/presets.h"
-#include "llm/model_config.h"
-
 namespace camllm::core {
-
-/**
- * Thread-safe (config-hash, model-hash, knob) -> TokenStats memo.
- * Keys are produced with sweepKey(); lookups and stores may race from
- * sweep workers. Optionally persists to a flat text file so re-run
- * sweeps skip every already-simulated point.
- */
-class SweepCache
-{
-  public:
-    SweepCache() = default;
-
-    /** @return true and fill @p out when @p key is cached. */
-    bool lookup(std::uint64_t key, TokenStats &out) const;
-
-    void store(std::uint64_t key, const TokenStats &stats);
-
-    std::uint64_t hits() const { return hits_.load(); }
-    std::uint64_t misses() const { return misses_.load(); }
-    std::size_t size() const;
-
-    /** Merge entries from @p path; false when unreadable. */
-    bool load(const std::string &path);
-
-    /** Write every entry to @p path; false on I/O failure. */
-    bool save(const std::string &path) const;
-
-    /**
-     * Process-wide cache. On first use it loads the file named by the
-     * CAMLLM_SWEEP_CACHE environment variable (when set); call
-     * saveGlobal() after a sweep to persist new points back.
-     */
-    static SweepCache &global();
-
-    /** Persist global() to CAMLLM_SWEEP_CACHE when set. */
-    static void saveGlobal();
-
-  private:
-    mutable std::mutex mu_;
-    std::unordered_map<std::uint64_t, TokenStats> map_;
-    mutable std::atomic<std::uint64_t> hits_{0};
-    mutable std::atomic<std::uint64_t> misses_{0};
-};
-
-/**
- * Bump whenever simulator timing semantics change: it salts every
- * sweep key, so a persisted cache written by an older simulator
- * misses instead of replaying stale results.
- */
-inline constexpr std::uint64_t kSweepCacheVersion = 4;
-
-/** Memo key of one sweep point. @p knob distinguishes points whose
- *  variation lives outside the config struct (prompt length, forced
- *  batch size, ...); pass 0 when the config and model say it all. */
-inline std::uint64_t
-sweepKey(const CamConfig &cfg, const llm::ModelConfig &model,
-         std::uint64_t knob = 0)
-{
-    return hashCombine(
-        kSweepCacheVersion,
-        hashCombine(hashCombine(configHash(cfg), llm::modelHash(model)),
-                    knob));
-}
 
 /** Deterministically-ordered parallel map over [0, n). */
 class ParallelSweep
@@ -151,27 +72,6 @@ class ParallelSweep
         for (auto &th : pool)
             th.join();
         return results;
-    }
-
-    /**
-     * map() with sweep-level memoization: point @p i is keyed by
-     * key(i); cached points skip fn(i) entirely. Results are
-     * deterministic and index-ordered either way (a cached point
-     * returns exactly the TokenStats its first simulation produced).
-     */
-    template <typename KeyFn, typename Fn>
-    std::vector<TokenStats>
-    mapMemo(SweepCache &cache, std::size_t n, KeyFn &&key, Fn &&fn) const
-    {
-        return map<TokenStats>(n, [&](std::size_t i) {
-            const std::uint64_t k = key(i);
-            TokenStats s;
-            if (cache.lookup(k, s))
-                return s;
-            s = fn(i);
-            cache.store(k, s);
-            return s;
-        });
     }
 
     /**

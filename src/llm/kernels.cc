@@ -1,12 +1,7 @@
 #include "kernels.h"
 
+#include <algorithm>
 #include <cmath>
-#include <cstdlib>
-
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define CAMLLM_AVX2_TARGET 1
-#include <immintrin.h>
-#endif
 
 namespace camllm::llm {
 
@@ -102,148 +97,6 @@ gemv(const QTensor &w, std::span<const float> x, std::span<float> y)
             acc += float(row[c]) * xv[c];
         y[r] = acc * s;
     }
-}
-
-#ifdef CAMLLM_AVX2_TARGET
-
-namespace {
-
-/** Widen 8 int8 weights to 8 float lanes. */
-__attribute__((target("avx2"))) inline __m256
-loadW8(const std::int8_t *p)
-{
-    const __m128i b =
-        _mm_loadl_epi64(reinterpret_cast<const __m128i *>(p));
-    return _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(b));
-}
-
-__attribute__((target("avx"))) inline float
-hsum256(__m256 v)
-{
-    __m128 lo = _mm256_castps256_ps128(v);
-    __m128 hi = _mm256_extractf128_ps(v, 1);
-    lo = _mm_add_ps(lo, hi);
-    lo = _mm_hadd_ps(lo, lo);
-    lo = _mm_hadd_ps(lo, lo);
-    return _mm_cvtss_f32(lo);
-}
-
-/**
- * AVX2 int8 GeMV: 4 rows per block, 16 columns per step. Each step
- * widens 8 int8 weights to float (cvtepi8_epi32 + cvtepi32_ps) and
- * FMAs them against the shared activation vector; two accumulators
- * per row hide the FMA latency. Row sums reduce lane-wise at the end,
- * so the float addition order differs from gemvScalar (tolerance, not
- * bit-exactness, is the contract — see gemvFast).
- */
-__attribute__((target("avx2,fma"))) void
-gemvAvx2(const QTensor &w, const float *xv, float *y)
-{
-    const float s = w.scale;
-    const std::uint32_t cols = w.cols;
-    const std::size_t stride = cols;
-
-    std::uint32_t r = 0;
-    for (; r + 4 <= w.rows; r += 4) {
-        const std::int8_t *r0 = w.data.data() + std::size_t(r) * stride;
-        const std::int8_t *r1 = r0 + stride;
-        const std::int8_t *r2 = r1 + stride;
-        const std::int8_t *r3 = r2 + stride;
-        __m256 a0 = _mm256_setzero_ps(), b0 = _mm256_setzero_ps();
-        __m256 a1 = _mm256_setzero_ps(), b1 = _mm256_setzero_ps();
-        __m256 a2 = _mm256_setzero_ps(), b2 = _mm256_setzero_ps();
-        __m256 a3 = _mm256_setzero_ps(), b3 = _mm256_setzero_ps();
-        std::uint32_t c = 0;
-        for (; c + 16 <= cols; c += 16) {
-            const __m256 x0 = _mm256_loadu_ps(xv + c);
-            const __m256 x1 = _mm256_loadu_ps(xv + c + 8);
-            a0 = _mm256_fmadd_ps(loadW8(r0 + c), x0, a0);
-            b0 = _mm256_fmadd_ps(loadW8(r0 + c + 8), x1, b0);
-            a1 = _mm256_fmadd_ps(loadW8(r1 + c), x0, a1);
-            b1 = _mm256_fmadd_ps(loadW8(r1 + c + 8), x1, b1);
-            a2 = _mm256_fmadd_ps(loadW8(r2 + c), x0, a2);
-            b2 = _mm256_fmadd_ps(loadW8(r2 + c + 8), x1, b2);
-            a3 = _mm256_fmadd_ps(loadW8(r3 + c), x0, a3);
-            b3 = _mm256_fmadd_ps(loadW8(r3 + c + 8), x1, b3);
-        }
-        for (; c + 8 <= cols; c += 8) {
-            const __m256 x0 = _mm256_loadu_ps(xv + c);
-            a0 = _mm256_fmadd_ps(loadW8(r0 + c), x0, a0);
-            a1 = _mm256_fmadd_ps(loadW8(r1 + c), x0, a1);
-            a2 = _mm256_fmadd_ps(loadW8(r2 + c), x0, a2);
-            a3 = _mm256_fmadd_ps(loadW8(r3 + c), x0, a3);
-        }
-        float t0 = hsum256(_mm256_add_ps(a0, b0));
-        float t1 = hsum256(_mm256_add_ps(a1, b1));
-        float t2 = hsum256(_mm256_add_ps(a2, b2));
-        float t3 = hsum256(_mm256_add_ps(a3, b3));
-        for (; c < cols; ++c) {
-            const float xc = xv[c];
-            t0 += float(r0[c]) * xc;
-            t1 += float(r1[c]) * xc;
-            t2 += float(r2[c]) * xc;
-            t3 += float(r3[c]) * xc;
-        }
-        y[r] = t0 * s;
-        y[r + 1] = t1 * s;
-        y[r + 2] = t2 * s;
-        y[r + 3] = t3 * s;
-    }
-    for (; r < w.rows; ++r) {
-        const std::int8_t *row = w.data.data() + std::size_t(r) * stride;
-        __m256 acc = _mm256_setzero_ps();
-        std::uint32_t c = 0;
-        for (; c + 8 <= cols; c += 8)
-            acc = _mm256_fmadd_ps(loadW8(row + c),
-                                  _mm256_loadu_ps(xv + c), acc);
-        float t = hsum256(acc);
-        for (; c < cols; ++c)
-            t += float(row[c]) * xv[c];
-        y[r] = t * s;
-    }
-}
-
-} // namespace
-
-#endif // CAMLLM_AVX2_TARGET
-
-bool
-simdDisabledByEnv()
-{
-    // Read per call (not cached) so tests and operators can toggle the
-    // escape hatch at runtime; the getenv cost is noise next to a GeMV.
-    const char *v = std::getenv("CAMLLM_NO_SIMD");
-    return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
-
-bool
-gemvFastUsesAvx2()
-{
-#ifdef CAMLLM_AVX2_TARGET
-    static const bool ok = __builtin_cpu_supports("avx2") &&
-                           __builtin_cpu_supports("fma");
-    return ok && !simdDisabledByEnv();
-#else
-    return false;
-#endif
-}
-
-void
-gemvFast(const QTensor &w, std::span<const float> x, std::span<float> y)
-{
-    CAMLLM_ASSERT(x.size() == w.cols, "gemv: x has %zu elems, W has %u cols",
-                  x.size(), w.cols);
-    CAMLLM_ASSERT(y.size() == w.rows);
-#ifdef CAMLLM_AVX2_TARGET
-    if (gemvFastUsesAvx2()) {
-        gemvAvx2(w, x.data(), y.data());
-        return;
-    }
-#endif
-    // Non-AVX2 builds (and CAMLLM_NO_SIMD=1) take the scalar reference
-    // path: bit-exact with gemvScalar by definition, so the fallback
-    // is also the ground truth the tolerance tests compare against.
-    gemvScalar(w, x, y);
 }
 
 void

@@ -29,27 +29,6 @@ void gemv(const QTensor &w, std::span<const float> x, std::span<float> y);
 void gemvScalar(const QTensor &w, std::span<const float> x,
                 std::span<float> y);
 
-/**
- * Fast GeMV: an AVX2+FMA int8 dot-product kernel when the CPU
- * supports it (runtime dispatch; compile-time gated to x86-64 GCC /
- * Clang), otherwise the scalar reference kernel. The vector path
- * accumulates eight float lanes per row, which reorders the
- * reduction, so results are close to — but not bit-equal with —
- * gemvScalar; call gemv() or gemvScalar() where bit-exactness
- * matters (the ECC accuracy path). Setting CAMLLM_NO_SIMD=1 forces
- * the scalar fallback at runtime (checked per call), e.g.\ to rule
- * the vector path out when chasing a numeric difference.
- */
-void gemvFast(const QTensor &w, std::span<const float> x,
-              std::span<float> y);
-
-/** True when gemvFast dispatches to the AVX2 path on this machine
- *  (false on non-x86 builds and under CAMLLM_NO_SIMD=1). */
-bool gemvFastUsesAvx2();
-
-/** True when CAMLLM_NO_SIMD is set non-empty and non-"0". */
-bool simdDisabledByEnv();
-
 /** In-place layer normalization (unit gain, zero bias). */
 void layerNorm(std::span<float> x, float eps = 1e-5f);
 

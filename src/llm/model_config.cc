@@ -1,7 +1,5 @@
 #include "model_config.h"
 
-#include "common/hash.h"
-
 namespace camllm::llm {
 
 bool
@@ -162,17 +160,6 @@ std::vector<ModelConfig>
 llamaFamily()
 {
     return {llama2_7b(), llama2_13b(), llama2_70b()};
-}
-
-std::uint64_t
-modelHash(const ModelConfig &m)
-{
-    Fnv1a h;
-    h.add(m.n_layers).add(m.d_model).add(m.n_heads).add(m.n_kv_heads);
-    h.add(m.d_ffn).add(m.vocab);
-    h.add(static_cast<std::uint32_t>(m.ffn_style));
-    h.add(m.tied_embeddings);
-    return h.value();
 }
 
 } // namespace camllm::llm

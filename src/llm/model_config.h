@@ -80,9 +80,6 @@ std::vector<ModelConfig> optFamily();
 /** All Llama2 models in Fig 9(b) order. */
 std::vector<ModelConfig> llamaFamily();
 
-/** Structural hash of an architecture (name excluded). */
-std::uint64_t modelHash(const ModelConfig &m);
-
 } // namespace camllm::llm
 
 #endif // CAMLLM_LLM_MODEL_CONFIG_H

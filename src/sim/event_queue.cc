@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cerrno>
-#include <cstdlib>
 
 #include "common/logging.h"
 
@@ -61,28 +59,8 @@ scanOccupied(const std::uint64_t *occ, std::size_t size,
 
 } // namespace
 
-std::size_t
-EventQueue::defaultWindow()
-{
-    if (const char *env = std::getenv("CAMLLM_EQ_WINDOW")) {
-        char *end = nullptr;
-        errno = 0;
-        const long n = std::strtol(env, &end, 10);
-        // Insist on a fully-consumed plain decimal count: "1024abc"
-        // and "1e6" are configuration mistakes, not window widths.
-        if (end != env && *end == '\0' && errno != ERANGE && n >= 1)
-            return std::size_t(n);
-        warn("ignoring CAMLLM_EQ_WINDOW='%s' (want a plain base-10 "
-             "tick count >= 1)",
-             env);
-    }
-    return kDefaultWindow;
-}
-
 EventQueue::EventQueue(std::size_t window_ticks)
-    : buckets_(roundUpPow2Clamped(window_ticks == 0 ? defaultWindow()
-                                                    : window_ticks,
-                                  kMinWindow, kMaxWindow))
+    : buckets_(roundUpPow2Clamped(window_ticks, kMinWindow, kMaxWindow))
 {
     bucket_mask_ = Tick(buckets_.size() - 1);
     occ0_.assign((buckets_.size() + 63) / 64, 0);

@@ -76,13 +76,12 @@ class EventQueue
 
     /**
      * @param window_ticks level-0 calendar width in ticks; rounded up
-     * to a power of two and clamped to [kMinWindow, kMaxWindow]. 0
-     * selects the CAMLLM_EQ_WINDOW environment variable when set, else
-     * kDefaultWindow. The upper wheels scale with the window (slot
-     * width of wheel k is window x 1024^(k-1) ticks), so a wider
-     * window also widens the span the heap never sees.
+     * to a power of two and clamped to [kMinWindow, kMaxWindow]. The
+     * upper wheels scale with the window (slot width of wheel k is
+     * window x 1024^(k-1) ticks), so a wider window also widens the
+     * span the heap never sees.
      */
-    explicit EventQueue(std::size_t window_ticks = 0);
+    explicit EventQueue(std::size_t window_ticks = kDefaultWindow);
     ~EventQueue();
 
     EventQueue(const EventQueue &) = delete;
@@ -265,12 +264,6 @@ class EventQueue
 
     /** Upper wheels above the level-0 window. */
     static constexpr unsigned kUpperLevels = 4;
-
-    /** Window a default-constructed queue uses: CAMLLM_EQ_WINDOW when
-     *  set to a valid count, otherwise kDefaultWindow. The variable
-     *  must be a plain base-10 tick count >= 1; anything else (trailing
-     *  garbage, "1e6", empty, out of range) warns and is ignored. */
-    static std::size_t defaultWindow();
 
   private:
     /** Event records per pool chunk. */

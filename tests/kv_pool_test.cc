@@ -272,8 +272,9 @@ expectSameServe(const ServeStats &a, const ServeStats &b)
     }
 }
 
-// Golden per-request stats recorded from the PR 2 BatchEngine (see
-// scheduler_test.cc): the contract the unbounded pool must honor.
+// Golden decode-only per-request stats (recorded before the scheduler
+// refactor; see scheduler_test.cc): the contract the unbounded pool
+// must honor.
 struct Golden
 {
     Tick admit, finish, total;

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <set>
 #include <string>
 #include <utility>
@@ -344,98 +343,6 @@ TEST(Kernels, BlockedGemvBitExactVsScalarReference)
             ASSERT_EQ(blocked[r], scalar[r])
                 << rows << "x" << cols << " row " << r;
     }
-}
-
-// The fast GeMV (AVX2 when available, else the blocked kernel)
-// reassociates the reduction, so it is held to a relative tolerance
-// against a double-precision reference rather than bit-exactness.
-TEST(Kernels, FastGemvMatchesDoubleReferenceWithinTolerance)
-{
-    Rng rng(777);
-    const std::pair<std::uint32_t, std::uint32_t> shapes[] = {
-        {1, 1},   {3, 7},    {4, 16},   {5, 33},
-        {8, 64},  {61, 127}, {128, 96}, {200, 333},
-    };
-    for (const auto &[rows, cols] : shapes) {
-        QTensor w(rows, cols, 0.0375f);
-        for (auto &v : w.data)
-            v = std::int8_t(std::int32_t(rng.below(255)) - 127);
-        std::vector<float> x(cols);
-        for (auto &v : x)
-            v = float(std::int32_t(rng.below(2001)) - 1000) / 250.0f;
-        std::vector<float> fast(rows);
-        gemvFast(w, x, fast);
-        for (std::uint32_t r = 0; r < rows; ++r) {
-            double ref = 0.0;
-            double mag = 0.0;
-            for (std::uint32_t c = 0; c < cols; ++c) {
-                const double t =
-                    double(w.data[std::size_t(r) * cols + c]) *
-                    double(x[c]);
-                ref += t;
-                mag += std::abs(t);
-            }
-            ref *= double(w.scale);
-            mag *= double(w.scale);
-            const double tol = 1e-5 * std::max(1.0, mag);
-            EXPECT_NEAR(double(fast[r]), ref, tol)
-                << rows << "x" << cols << " row " << r;
-        }
-    }
-}
-
-// Whatever path dispatch picks, the exact kernels stay the reference:
-// fast output must be element-wise close to the bit-exact blocked one.
-TEST(Kernels, FastGemvCloseToExactKernels)
-{
-    Rng rng(31337);
-    QTensor w(96, 257, 0.02f);
-    for (auto &v : w.data)
-        v = std::int8_t(std::int32_t(rng.below(255)) - 127);
-    std::vector<float> x(257);
-    for (auto &v : x)
-        v = float(std::int32_t(rng.below(2001)) - 1000) / 500.0f;
-    std::vector<float> fast(96), exact(96);
-    gemvFast(w, x, fast);
-    gemv(w, x, exact);
-    for (std::uint32_t r = 0; r < 96; ++r)
-        EXPECT_NEAR(fast[r], exact[r],
-                    1e-4f * std::max(1.0f, std::abs(exact[r])));
-}
-
-// CAMLLM_NO_SIMD=1 must force gemvFast onto the scalar reference path
-// at runtime: dispatch reports no AVX2 and the output is bit-equal to
-// gemvScalar (the fallback IS the reference, not merely close to it).
-TEST(Kernels, NoSimdEnvForcesScalarFallback)
-{
-    Rng rng(4242);
-    QTensor w(77, 129, 0.031f);
-    for (auto &v : w.data)
-        v = std::int8_t(std::int32_t(rng.below(255)) - 127);
-    std::vector<float> x(129);
-    for (auto &v : x)
-        v = float(std::int32_t(rng.below(2001)) - 1000) / 333.0f;
-
-    const char *saved = std::getenv("CAMLLM_NO_SIMD");
-    const std::string restore = saved ? saved : "";
-    ASSERT_EQ(setenv("CAMLLM_NO_SIMD", "1", 1), 0);
-    EXPECT_TRUE(simdDisabledByEnv());
-    EXPECT_FALSE(gemvFastUsesAvx2());
-
-    std::vector<float> fast(77), scalar(77);
-    gemvFast(w, x, fast);
-    gemvScalar(w, x, scalar);
-    for (std::uint32_t r = 0; r < 77; ++r)
-        ASSERT_EQ(fast[r], scalar[r]) << "row " << r;
-
-    // CAMLLM_NO_SIMD=0 (and empty) mean "not disabled".
-    ASSERT_EQ(setenv("CAMLLM_NO_SIMD", "0", 1), 0);
-    EXPECT_FALSE(simdDisabledByEnv());
-
-    if (saved)
-        ASSERT_EQ(setenv("CAMLLM_NO_SIMD", restore.c_str(), 1), 0);
-    else
-        ASSERT_EQ(unsetenv("CAMLLM_NO_SIMD"), 0);
 }
 
 TEST(Kernels, LayerNormZeroMeanUnitVar)

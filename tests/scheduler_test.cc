@@ -1,11 +1,13 @@
 /**
  * @file
  * Tests for the unified serving scheduler: decode-only FCFS
- * bit-exactness against the recorded PR 2 BatchEngine event sequence,
- * one-chunk prefill equivalence with CambriconEngine::prefill(),
- * chunked-prefill determinism across sweep-thread settings, Poisson
- * trace replay determinism, TTFT monotonicity in the chunk budget,
- * and the NPU contention model.
+ * bit-exactness against recorded golden stats and (at batch one)
+ * against CambriconEngine::decodeToken(), admission waves and
+ * throughput/fairness under concurrency, one-chunk prefill
+ * equivalence with CambriconEngine::prefill(), chunked-prefill
+ * determinism across sweep-thread settings, Poisson trace replay
+ * determinism, TTFT monotonicity in the chunk budget, and the NPU
+ * contention model.
  */
 
 #include <gtest/gtest.h>
@@ -13,10 +15,10 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/arrivals.h"
-#include "core/batch_engine.h"
 #include "core/engine.h"
 #include "core/presets.h"
 #include "core/scheduler.h"
@@ -46,12 +48,12 @@ expectSameStats(const TokenStats &a, const TokenStats &b)
     EXPECT_EQ(a.simulated_layers, b.simulated_layers);
 }
 
-// Golden per-request stats recorded from the PR 2 BatchEngine
-// (presetS, OPT-6.7B, requests {256,2},{512,1},{1024,2},{384,1},
-// max_batch 2) BEFORE the scheduler refactor. Decode-only FCFS with
-// free NPU arbitration must reproduce that event sequence to the
-// tick: these numbers are the contract, not a snapshot of the
-// current implementation.
+// Golden per-request stats recorded from the original decode-only
+// batching engine (presetS, OPT-6.7B, requests {256,2},{512,1},
+// {1024,2},{384,1}, max_batch 2) BEFORE the scheduler refactor.
+// Decode-only FCFS with free NPU arbitration must reproduce that
+// event sequence to the tick: these numbers are the contract, not a
+// snapshot of the current implementation.
 struct Golden
 {
     Tick admit, finish, total;
@@ -72,33 +74,63 @@ constexpr Golden kGoldenStagger50k[4] = {
     {161723879, 246867591, 560144672},
 };
 
-std::vector<RequestSpec>
+/** Decode-only requests: warm KV of `context` tokens, no prompt, all
+ *  arriving at tick 0. */
+std::vector<ServeRequest>
+decodeOnly(const std::vector<std::pair<std::uint32_t, std::uint32_t>>
+               &context_and_tokens)
+{
+    std::vector<ServeRequest> reqs;
+    for (const auto &[context, tokens] : context_and_tokens)
+        reqs.push_back({0, context, tokens, 0});
+    return reqs;
+}
+
+std::vector<ServeRequest>
 goldenRequests()
 {
-    return {{256, 2}, {512, 1}, {1024, 2}, {384, 1}};
+    return decodeOnly({{256, 2}, {512, 1}, {1024, 2}, {384, 1}});
+}
+
+/** Serve under the default options (decode-first FCFS, free NPU,
+ *  unbounded KV) at @p max_batch. */
+ServeStats
+serveFcfs(const CamConfig &cfg, const llm::ModelConfig &model,
+          const std::vector<ServeRequest> &reqs, std::uint32_t max_batch,
+          Tick admission_stagger = 0)
+{
+    SchedOptions opt;
+    opt.max_batch = max_batch;
+    opt.admission_stagger = admission_stagger;
+    return Scheduler(cfg, model).serve(reqs, opt);
 }
 
 TEST(Scheduler, DecodeOnlyFcfsReproducesPr2GoldenStats)
 {
     const CamConfig cfg = presetS();
     const llm::ModelConfig model = llm::opt6_7b();
-    const BatchStats bs =
-        BatchEngine(cfg, model).run(goldenRequests(), 2);
+    const ServeStats ss = serveFcfs(cfg, model, goldenRequests(), 2);
 
-    ASSERT_EQ(bs.requests.size(), 4u);
-    EXPECT_EQ(bs.sim_makespan, kGoldenMakespan);
+    ASSERT_EQ(ss.requests.size(), 4u);
+    EXPECT_EQ(ss.sim_makespan, kGoldenMakespan);
     for (std::size_t i = 0; i < 4; ++i) {
-        EXPECT_EQ(bs.requests[i].admit_tick, kGolden[i].admit) << i;
-        EXPECT_EQ(bs.requests[i].finish_tick, kGolden[i].finish) << i;
-        EXPECT_EQ(bs.requests[i].total_token_time, kGolden[i].total)
+        EXPECT_EQ(ss.requests[i].admit_tick, kGolden[i].admit) << i;
+        EXPECT_EQ(ss.requests[i].finish_tick, kGolden[i].finish) << i;
+        EXPECT_EQ(ss.requests[i].total_token_time, kGolden[i].total)
             << i;
+        // Decode-only requests: first token == first decode step.
+        EXPECT_EQ(ss.requests[i].prefill_chunks, 0u) << i;
+        EXPECT_GT(ss.requests[i].ttft_ms, 0.0) << i;
     }
-    EXPECT_DOUBLE_EQ(bs.aggregate_tokens_per_s, 3.5772780785431872);
-    EXPECT_DOUBLE_EQ(bs.finite_run_tokens_per_s, 3.5193594347360162);
-    EXPECT_DOUBLE_EQ(bs.extrapolation_factor, 6.6735465811466517);
+    EXPECT_DOUBLE_EQ(ss.aggregate_tokens_per_s, 3.5772780785431872);
+    EXPECT_DOUBLE_EQ(ss.finite_run_tokens_per_s, 3.5193594347360162);
+    EXPECT_DOUBLE_EQ(ss.extrapolation_factor, 6.6735465811466517);
+    // No prefill work was submitted, and decode bytes flowed.
+    EXPECT_EQ(ss.prefill_channel_bytes, 0u);
+    EXPECT_GT(ss.decode_channel_bytes, 0u);
 
-    const BatchStats st =
-        BatchEngine(cfg, model).run(goldenRequests(), 2, 50000);
+    const ServeStats st =
+        serveFcfs(cfg, model, goldenRequests(), 2, 50000);
     for (std::size_t i = 0; i < 4; ++i) {
         EXPECT_EQ(st.requests[i].admit_tick,
                   kGoldenStagger50k[i].admit)
@@ -112,44 +144,102 @@ TEST(Scheduler, DecodeOnlyFcfsReproducesPr2GoldenStats)
     }
 }
 
-// The BatchEngine facade and a directly-driven Scheduler must agree
-// field for field on decode-only work (guards the facade mapping).
-TEST(Scheduler, FacadeMatchesDirectSchedulerUse)
+// A lone one-token decode-only request at context == seq_len replays
+// CambriconEngine::decodeToken() bit-identically (same device
+// construction order, same graph, same event sequence).
+TEST(Scheduler, DecodeOnlyBatchOfOneMatchesDecodeTokenBitExactly)
 {
     const CamConfig cfg = presetS();
     const llm::ModelConfig model = llm::opt6_7b();
 
-    const BatchStats bs =
-        BatchEngine(cfg, model).run(goldenRequests(), 2);
+    const TokenStats single = CambriconEngine(cfg, model).decodeToken();
+    const ServeStats ss =
+        serveFcfs(cfg, model, decodeOnly({{cfg.seq_len, 1}}), 1);
 
-    std::vector<ServeRequest> sreqs;
-    for (const RequestSpec &r : goldenRequests())
-        sreqs.push_back({0, r.context, r.decode_tokens, 0});
-    SchedOptions opt;
-    opt.max_batch = 2;
-    const ServeStats ss = Scheduler(cfg, model).serve(sreqs, opt);
+    ASSERT_EQ(ss.requests.size(), 1u);
+    expectSameStats(single, ss.requests[0].first_token);
+    EXPECT_EQ(ss.requests[0].total_token_time, single.token_time);
+    EXPECT_DOUBLE_EQ(ss.requests[0].tokens_per_s, single.tokens_per_s);
+    EXPECT_DOUBLE_EQ(ss.aggregate_tokens_per_s, single.tokens_per_s);
+    EXPECT_DOUBLE_EQ(ss.fairness_jain, 1.0);
+}
 
-    ASSERT_EQ(ss.requests.size(), bs.requests.size());
-    EXPECT_EQ(ss.sim_makespan, bs.sim_makespan);
-    EXPECT_DOUBLE_EQ(ss.aggregate_tokens_per_s,
-                     bs.aggregate_tokens_per_s);
-    EXPECT_DOUBLE_EQ(ss.fairness_jain, bs.fairness_jain);
-    for (std::size_t i = 0; i < ss.requests.size(); ++i) {
-        EXPECT_EQ(ss.requests[i].admit_tick,
-                  bs.requests[i].admit_tick);
-        EXPECT_EQ(ss.requests[i].finish_tick,
-                  bs.requests[i].finish_tick);
-        EXPECT_EQ(ss.requests[i].total_token_time,
-                  bs.requests[i].total_token_time);
-        expectSameStats(ss.requests[i].first_token,
-                        bs.requests[i].first_token);
-        // Decode-only requests: first token == first decode step.
-        EXPECT_EQ(ss.requests[i].prefill_chunks, 0u);
-        EXPECT_GT(ss.requests[i].ttft_ms, 0.0);
+TEST(Scheduler, DecodeOnlyBatchOfOneMatchesAcrossQuantAndConfig)
+{
+    const llm::ModelConfig model = llm::opt6_7b();
+    for (auto quant : {llm::QuantMode::W8A8, llm::QuantMode::W4A16}) {
+        CamConfig cfg = presetCustom(8, 2);
+        cfg.quant = quant;
+        cfg.seq_len = 384;
+        const TokenStats single =
+            CambriconEngine(cfg, model).decodeToken();
+        const ServeStats ss =
+            serveFcfs(cfg, model, decodeOnly({{cfg.seq_len, 1}}), 1);
+        ASSERT_EQ(ss.requests.size(), 1u);
+        expectSameStats(single, ss.requests[0].first_token);
     }
-    // No prefill work was submitted, and decode bytes flowed.
-    EXPECT_EQ(ss.prefill_channel_bytes, 0u);
-    EXPECT_GT(ss.decode_channel_bytes, 0u);
+}
+
+// A multi-token request's first token equals a plain decode at the
+// same context; its mean token time is at least that, because every
+// step grows the KV stream by one.
+TEST(Scheduler, DecodeOnlyMultiTokenRequestGrowsItsKvStream)
+{
+    CamConfig cfg = presetS();
+    cfg.seq_len = 256;
+    const llm::ModelConfig model = llm::opt6_7b();
+
+    const ServeStats ss =
+        serveFcfs(cfg, model, decodeOnly({{256, 3}}), 1);
+    ASSERT_EQ(ss.requests.size(), 1u);
+    EXPECT_EQ(ss.requests[0].decode_tokens, 3u);
+    EXPECT_EQ(ss.total_tokens, 3u);
+
+    const TokenStats single = CambriconEngine(cfg, model).decodeToken();
+    expectSameStats(single, ss.requests[0].first_token);
+    EXPECT_GE(ss.requests[0].mean_token_time, single.token_time);
+}
+
+TEST(Scheduler, DecodeOnlyAdmitsBeyondBatchLimitInWaves)
+{
+    const CamConfig cfg = presetS();
+    const llm::ModelConfig model = llm::opt6_7b();
+    const ServeStats ss = serveFcfs(
+        cfg, model,
+        decodeOnly({{256, 1}, {512, 1}, {768, 1}, {1024, 1}, {320, 1}}),
+        2);
+    ASSERT_EQ(ss.requests.size(), 5u);
+    EXPECT_EQ(ss.total_tokens, 5u);
+
+    // First two admitted at t = 0; the rest only after a retirement.
+    EXPECT_EQ(ss.requests[0].admit_tick, 0u);
+    EXPECT_EQ(ss.requests[1].admit_tick, 0u);
+    for (std::size_t i = 2; i < 5; ++i)
+        EXPECT_GT(ss.requests[i].admit_tick, 0u);
+    for (const ServeRequestStats &r : ss.requests) {
+        EXPECT_GT(r.finish_tick, r.admit_tick);
+        EXPECT_LE(r.finish_tick, ss.sim_makespan);
+        EXPECT_GT(r.tokens_per_s, 0.0);
+    }
+}
+
+TEST(Scheduler, DecodeOnlyConcurrencyRaisesAggregateThroughput)
+{
+    const CamConfig cfg = presetS();
+    const llm::ModelConfig model = llm::opt6_7b();
+    const std::vector<ServeRequest> reqs =
+        decodeOnly({{512, 1}, {512, 1}, {512, 1}, {512, 1}});
+
+    const ServeStats serial = serveFcfs(cfg, model, reqs, 1);
+    const ServeStats batched = serveFcfs(cfg, model, reqs, 4);
+
+    // Four streams fill each other's channel bubbles; at minimum the
+    // shared device must not get slower than strictly serial service.
+    EXPECT_GT(batched.aggregate_tokens_per_s,
+              serial.aggregate_tokens_per_s * 1.02);
+    EXPECT_GE(batched.avg_channel_util, serial.avg_channel_util - 1e-9);
+    // Identical requests must be served near-evenly.
+    EXPECT_GT(batched.fairness_jain, 0.98);
 }
 
 // A single request whose whole prompt prefills as one chunk must

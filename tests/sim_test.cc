@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -226,16 +225,6 @@ TEST(EventQueueWindow, DefaultAndRounding)
     EXPECT_EQ(EventQueue(1).windowTicks(), EventQueue::kMinWindow);
 }
 
-TEST(EventQueueWindow, EnvVarSelectsDefault)
-{
-    setenv("CAMLLM_EQ_WINDOW", "256", 1);
-    EXPECT_EQ(EventQueue().windowTicks(), 256u);
-    // An explicit width still wins over the environment.
-    EXPECT_EQ(EventQueue(32).windowTicks(), 32u);
-    unsetenv("CAMLLM_EQ_WINDOW");
-    EXPECT_EQ(EventQueue().windowTicks(), EventQueue::kDefaultWindow);
-}
-
 // Events repeatedly straddling a tiny calendar window (some in the
 // current window, some migrating through the far-future heap) must
 // still execute in exact (tick, insertion) order.
@@ -278,20 +267,6 @@ TEST(EventQueueWindow, NestedSchedulingAcrossBoundary)
     eq.schedule(31, [&] { times.push_back(eq.now()); });
     eq.run();
     EXPECT_EQ(times, (std::vector<Tick>{15, 16, 31, 500}));
-}
-
-TEST(EventQueueWindow, EnvVarRejectsGarbage)
-{
-    // strtol would silently accept a valid prefix; the queue must
-    // insist on a fully-consumed plain decimal count and fall back to
-    // the default (with a warning) otherwise.
-    for (const char *bad : {"1024abc", "1e6", "", "abc", "-16", "0",
-                            "999999999999999999999999"}) {
-        setenv("CAMLLM_EQ_WINDOW", bad, 1);
-        EXPECT_EQ(EventQueue().windowTicks(), EventQueue::kDefaultWindow)
-            << "CAMLLM_EQ_WINDOW='" << bad << "'";
-    }
-    unsetenv("CAMLLM_EQ_WINDOW");
 }
 
 // Events exactly at (and adjacent to) every wheel-block boundary, each

@@ -8,9 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdio>
-#include <map>
 #include <numeric>
 #include <string>
 
@@ -320,127 +317,6 @@ TEST(ParallelSweep, SingleThreadFallback)
     EXPECT_EQ(sweep.threads(), 1u);
     auto out = sweep.map<int>(5, [](std::size_t i) { return int(i); });
     EXPECT_EQ(std::accumulate(out.begin(), out.end(), 0), 10);
-}
-
-// --- sweep-level memoization ----------------------------------------------------
-
-void
-expectSameTokenStats(const core::TokenStats &a, const core::TokenStats &b)
-{
-    EXPECT_EQ(a.token_time, b.token_time);
-    EXPECT_EQ(a.pages_computed, b.pages_computed);
-    EXPECT_EQ(a.channel_bytes_high, b.channel_bytes_high);
-    EXPECT_EQ(a.channel_bytes_low, b.channel_bytes_low);
-    EXPECT_EQ(a.dram_bytes, b.dram_bytes);
-    EXPECT_EQ(a.weight_bytes_flash, b.weight_bytes_flash);
-    EXPECT_EQ(a.weight_bytes_npu, b.weight_bytes_npu);
-    EXPECT_DOUBLE_EQ(a.tokens_per_s, b.tokens_per_s);
-    EXPECT_DOUBLE_EQ(a.avg_channel_util, b.avg_channel_util);
-}
-
-TEST(SweepCache, RerunSkipsSimulatedPointsDeterministically)
-{
-    const llm::ModelConfig model = llm::opt6_7b();
-    const std::uint32_t chips[] = {1, 2, 4, 8};
-    core::SweepCache cache;
-    std::atomic<int> simulated{0};
-
-    const auto key = [&](std::size_t i) {
-        return core::sweepKey(core::presetCustom(8, chips[i]), model);
-    };
-    const auto point = [&](std::size_t i) {
-        ++simulated;
-        return core::CambriconEngine(core::presetCustom(8, chips[i]),
-                                     model)
-            .decodeToken();
-    };
-
-    core::ParallelSweep sweep(4);
-    const auto first = sweep.mapMemo(cache, 4, key, point);
-    EXPECT_EQ(simulated.load(), 4);
-    EXPECT_EQ(cache.misses(), 4u);
-    EXPECT_EQ(cache.hits(), 0u);
-    EXPECT_EQ(cache.size(), 4u);
-
-    // Re-run: every point must hit and return the identical stats
-    // without re-simulating.
-    const auto second = sweep.mapMemo(cache, 4, key, point);
-    EXPECT_EQ(simulated.load(), 4);
-    EXPECT_EQ(cache.hits(), 4u);
-    ASSERT_EQ(second.size(), first.size());
-    for (std::size_t i = 0; i < first.size(); ++i)
-        expectSameTokenStats(first[i], second[i]);
-}
-
-TEST(SweepCache, KnobAndConfigFieldsKeySeparatePoints)
-{
-    const llm::ModelConfig model = llm::opt6_7b();
-    const core::CamConfig base = core::presetS();
-
-    // The knob argument separates otherwise-identical configs.
-    EXPECT_NE(core::sweepKey(base, model, 0),
-              core::sweepKey(base, model, 1));
-
-    // Any simulated field changes the hash...
-    core::CamConfig seq = base;
-    seq.seq_len = base.seq_len + 1;
-    EXPECT_NE(core::configHash(base), core::configHash(seq));
-    core::CamConfig notile = base;
-    notile.hybrid_tiling = false;
-    EXPECT_NE(core::configHash(base), core::configHash(notile));
-    core::CamConfig forced = base;
-    forced.forced_tile = core::TileShape{128, 4096};
-    EXPECT_NE(core::configHash(base), core::configHash(forced));
-
-    // ...while the presentation-only name does not.
-    core::CamConfig renamed = base;
-    renamed.name = "same-hardware-different-label";
-    EXPECT_EQ(core::configHash(base), core::configHash(renamed));
-
-    // Models hash structurally too.
-    EXPECT_NE(llm::modelHash(llm::opt6_7b()),
-              llm::modelHash(llm::opt13b()));
-}
-
-TEST(SweepCache, PersistsAndReloadsEntries)
-{
-    const llm::ModelConfig model = llm::opt6_7b();
-    const core::CamConfig cfg = core::presetS();
-    const std::uint64_t key = core::sweepKey(cfg, model);
-
-    core::SweepCache cache;
-    const core::TokenStats stats =
-        core::CambriconEngine(cfg, model).decodeToken();
-    cache.store(key, stats);
-
-    const std::string path =
-        ::testing::TempDir() + "camllm_sweep_cache_test.txt";
-    ASSERT_TRUE(cache.save(path));
-
-    core::SweepCache reloaded;
-    ASSERT_TRUE(reloaded.load(path));
-    core::TokenStats out;
-    ASSERT_TRUE(reloaded.lookup(key, out));
-    expectSameTokenStats(stats, out);
-    EXPECT_EQ(out.extrapolated, stats.extrapolated);
-    EXPECT_EQ(out.simulated_layers, stats.simulated_layers);
-    std::remove(path.c_str());
-}
-
-TEST(SweepCache, RejectsFilesFromOtherSchemas)
-{
-    const std::string path =
-        ::testing::TempDir() + "camllm_sweep_cache_stale.txt";
-    {
-        std::FILE *f = std::fopen(path.c_str(), "w");
-        ASSERT_NE(f, nullptr);
-        std::fputs("camllm-sweep-cache v1\n0 1 2 3\n", f);
-        std::fclose(f);
-    }
-    core::SweepCache cache;
-    EXPECT_FALSE(cache.load(path));
-    EXPECT_EQ(cache.size(), 0u);
-    std::remove(path.c_str());
 }
 
 } // namespace

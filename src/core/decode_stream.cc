@@ -157,11 +157,10 @@ DecodeStream::issueKvDram(std::uint32_t id,
 }
 
 void
-DecodeStream::startToken(std::uint32_t seq, std::uint32_t prefill_tokens,
-                         TokenDone done)
+DecodeStream::startToken(std::uint32_t seq, TokenDone done)
 {
     seq_ = seq;
-    prefill_tokens_ = prefill_tokens;
+    prefill_tokens_ = 0;
     kv_base_ = 0;
     last_chunk_ = true;
     beginUnit(std::move(done));

@@ -90,14 +90,12 @@ class DecodeStream
     DecodeStream &operator=(const DecodeStream &) = delete;
 
     /**
-     * Begin one token at the current tick. @p seq is the request's
-     * context length; nonzero @p prefill_tokens simulates the prefill
-     * phase over that many prompt tokens instead of a decode step.
-     * @p done fires from inside the simulation when the token's last
-     * op completes. One token may be in flight per stream.
+     * Begin one decode step at the current tick. @p seq is the
+     * request's context length. @p done fires from inside the
+     * simulation when the token's last op completes. One token may be
+     * in flight per stream.
      */
-    void startToken(std::uint32_t seq, std::uint32_t prefill_tokens,
-                    TokenDone done);
+    void startToken(std::uint32_t seq, TokenDone done);
 
     /**
      * Begin one chunk of a chunked prefill at the current tick:
@@ -105,8 +103,7 @@ class DecodeStream
      * earlier chunks wrote. The chunk appends its own K/V to DRAM as
      * it goes; only the last chunk (@p last_chunk) runs the head
      * projection and emits the request's first token. A single chunk
-     * covering the whole prompt with kv_base == 0 is bit-identical to
-     * startToken(prompt, prompt, done) — the classic one-shot
+     * covering the whole prompt with kv_base == 0 is the one-shot
      * prefill.
      */
     void startPrefillChunk(std::uint32_t chunk_len,

@@ -12,9 +12,10 @@ namespace {
 
 /**
  * One single-request co-simulation: private event queue, DRAM and
- * flash device, one DecodeStream driving one token (or one prefill
- * pass). The multi-request path lives in core::Scheduler and shares
- * these resources across streams instead.
+ * flash device, one DecodeStream driving one decode step at
+ * cfg.seq_len, or a one-shot prefill of @p prefill_tokens when that
+ * is nonzero. The multi-request path lives in core::Scheduler and
+ * shares these resources across streams instead.
  */
 TokenStats
 simulateOne(const CamConfig &cfg, const llm::ModelConfig &model,
@@ -35,11 +36,15 @@ simulateOne(const CamConfig &cfg, const llm::ModelConfig &model,
     DecodeStream stream(env);
     TokenStats out;
     bool finished = false;
-    stream.startToken(cfg.seq_len, prefill_tokens,
-                      [&](const TokenStats &s) {
-                          out = s;
-                          finished = true;
-                      });
+    const auto done = [&](const TokenStats &s) {
+        out = s;
+        finished = true;
+    };
+    if (prefill_tokens > 0)
+        stream.startPrefillChunk(prefill_tokens, 0, /*last_chunk=*/true,
+                                 done);
+    else
+        stream.startToken(cfg.seq_len, done);
     eq.run();
     CAMLLM_ASSERT(finished, "token did not complete");
     return out;

@@ -30,12 +30,7 @@ FleetSweep::merge(std::vector<ServeStats> replica_stats)
             if (r.tokens_emitted > 0)
                 ttft_ms.add(r.ttft_ms);
     }
-    out.ttft.n = ttft_ms.count();
-    out.ttft.p50_ms = ttft_ms.percentile(50.0);
-    out.ttft.p95_ms = ttft_ms.percentile(95.0);
-    out.ttft.p99_ms = ttft_ms.percentile(99.0);
-    out.ttft.mean_ms = ttft_ms.mean();
-    out.ttft.max_ms = ttft_ms.max();
+    out.ttft = summarize(ttft_ms);
 
     out.replica_stats = std::move(replica_stats);
     return out;

@@ -1,9 +1,7 @@
 #include "scheduler.h"
 
 #include <algorithm>
-#include <functional>
 #include <optional>
-
 #include <unordered_map>
 
 #include "common/logging.h"
@@ -18,8 +16,6 @@
 
 namespace camllm::core {
 
-namespace {
-
 LatencySummary
 summarize(const SampleSet &s)
 {
@@ -32,6 +28,1160 @@ summarize(const SampleSet &s)
     out.max_ms = s.max();
     return out;
 }
+
+namespace {
+
+std::uint64_t
+finalKvTokens(const ServeRequest &s)
+{
+    return std::uint64_t(s.context) + s.prompt + s.decode_tokens;
+}
+
+struct ReqRun
+{
+    ServeRequest spec;
+    std::unique_ptr<DecodeStream> stream;
+    ServeRequestStats stats;
+    std::uint32_t prefill_done = 0; ///< prompt tokens prefilled
+    std::uint32_t cur_chunk = 0;    ///< in-flight chunk length
+    std::uint32_t tokens_done = 0;  ///< decode steps completed
+    Tick token_start = 0;
+    Tick sim_token_sum = 0; ///< simulated (un-extrapolated) time
+    bool finished = false;
+
+    // --- KV pool state -------------------------------------------------
+    KvBlockTable kv;
+    bool admitted = false;
+    bool stalled = false;   ///< at a boundary, pool dry
+    bool preempted = false; ///< evicted, waiting to resume
+    bool preempt_pending = false; ///< evict at next step end
+    bool resumed = false;   ///< holds a full reservation
+    bool first_emitted = false;
+
+    // Block-granular rebuild state after an eviction. Coverage
+    // [0, rebuild_from) is resident (kept by partial eviction or
+    // already restored); [rebuild_from, rebuild_target) rebuilds left
+    // to right — swap-mask blocks stream back from flash, the rest
+    // recompute as Recompute-tagged prefill chunks. With every
+    // KV-reuse knob off this degenerates to the legacy whole-table
+    // recompute (from 0, nothing masked).
+    std::uint32_t rebuild_from = 0;   ///< tokens restored so far
+    std::uint32_t rebuild_target = 0; ///< coverage to restore
+    std::uint32_t recompute_pending = 0; ///< unswapped rebuild tokens
+    std::uint32_t swapped_out_tokens = 0; ///< flash copies not yet back
+    std::vector<std::uint8_t> swap_mask; ///< block idx → copy in flash
+    Tick blocked_since = 0;
+    Tick blocked_pre_ft = 0;    ///< KV-blocked sim before 1st token
+    Tick recompute_pre_ft = 0;  ///< recompute service before it
+};
+
+// In-flight swap-in op on the scheduler's flash client: the owning run
+// and the payload still to land.
+struct SwapIn
+{
+    std::size_t run = 0;
+    std::uint64_t remaining = 0;
+    std::uint32_t blocks = 0;
+    std::uint32_t tokens = 0;
+    Tick start = 0;
+};
+
+/**
+ * One serve() call: the shared device, the KV pool and prefix tree,
+ * every request's run state, and the ServeStats being built. The
+ * member functions are the scheduler's event handlers and call each
+ * other directly — a retirement frees capacity that resumes or admits
+ * waiters, an eviction wakes the stalled requester, a teardown of a
+ * queued request re-runs admission.
+ */
+class ServeRun
+{
+  public:
+    ServeRun(const CamConfig &config, const llm::ModelConfig &model,
+             const PlanCache &plans,
+             const std::vector<ServeRequest> &requests,
+             const SchedOptions &opt)
+        : config_(config), model_(model), opt_(opt),
+          quant_(llm::QuantSpec::of(config.quant)),
+          // The KV pool bounds DRAM KV capacity at full model depth:
+          // one block holds block_tokens positions of K+V across
+          // every layer.
+          token_kv_bytes_(std::uint64_t(model.kvDim()) *
+                          (quant_.act_bits / 8) * model.n_layers),
+          // The sampled-layer share of a token's KV — what one swap
+          // transfer actually moves on the sim clock, matching the
+          // depth convention of every other transfer in the run.
+          token_kv_sim_bytes_(
+              std::uint64_t(model.kvDim()) * (quant_.act_bits / 8) *
+              std::min(model.n_layers, config.sample_layers)),
+          pool_(opt.kv_budget_bytes, opt.kv_block_tokens,
+                std::uint64_t(opt.kv_block_tokens) * token_kv_bytes_),
+          tree_(pool_), dram_(eq_, config.npu),
+          fs_(eq_, config.flash, config.tile_window, config.slicing),
+          npu_(eq_, opt.npu_contention),
+          env_{.cfg = &config, .model = &model, .plans = &plans,
+               .eq = &eq_, .dram = &dram_, .fs = &fs_, .npu = &npu_},
+          runs_(requests.size())
+    {
+        // Fault injection: arm the spec on the device before anything
+        // runs. An inactive spec arms nothing, so the fault-free event
+        // sequence is byte-identical to a run without this block.
+        flash::FaultSpec faults = opt.faults;
+        if (faults.any()) {
+            if (faults.model_weight_bytes == 0)
+                faults.model_weight_bytes =
+                    quant_.weightBytes(model.totalParams());
+            fs_.armFaults(faults);
+        }
+
+        // KV swap-to-flash: reserve the flash KV region (reusing the
+        // fault layer's placement map when one exists) and connect the
+        // scheduler's own completion port for swap-in reads. Nothing
+        // here runs when the knob is off, so the no-swap event
+        // sequence is untouched.
+        if (opt.kv_swap) {
+            fs_.enableKvSwap(quant_.weightBytes(model.totalParams()),
+                             opt.kv_swap_flash_bytes);
+            swap_client_ = fs_.connect(
+                [this](const flash::Completion &c) {
+                    onSwapCompletion(c);
+                });
+        }
+
+        // Identity fields are filled for every request up front — a
+        // request that is rejected, shed or cancelled before admission
+        // still lands in ServeStats with valid shape fields.
+        for (std::size_t i = 0; i < runs_.size(); ++i) {
+            ReqRun &r = runs_[i];
+            r.spec = requests[i];
+            r.stats.id = std::uint32_t(i);
+            r.stats.prompt = r.spec.prompt;
+            r.stats.context = r.spec.context;
+            r.stats.decode_tokens = r.spec.decode_tokens;
+            r.stats.arrival = r.spec.arrival;
+        }
+    }
+
+    ServeStats run()
+    {
+        // Deadlines and user cancellations are pre-scheduled (the
+        // trace is known): a fired event on a finished run is a no-op.
+        // With neither armed and no faults, nothing extra enters the
+        // queue and the event sequence is bit-identical to the
+        // pre-resilience scheduler.
+        for (std::size_t i = 0; i < runs_.size(); ++i) {
+            const ServeRequest &spec = runs_[i].spec;
+            if (opt_.request_deadline > 0)
+                eq_.schedule(spec.arrival + opt_.request_deadline,
+                             [this, i] {
+                                 killRun(i, RequestOutcome::TimedOut);
+                             });
+            if (spec.cancel_at > 0)
+                eq_.schedule(spec.cancel_at, [this, i] {
+                    killRun(i, RequestOutcome::Cancelled);
+                });
+        }
+
+        admit();
+        initial_wave_ = false;
+        eq_.run();
+        CAMLLM_ASSERT(exited() == runs_.size(),
+                      "request accounting out of balance: %u completed "
+                      "+ %u shed + %u timed out + %u cancelled + %u "
+                      "rejected != %zu requests",
+                      out_.completed, out_.shed_slo, out_.timeouts,
+                      out_.cancelled, out_.rejected_infeasible,
+                      runs_.size());
+        // Drain audit: every retire released its whole block table,
+        // the prefix cache returns its refs, every outstanding ref is
+        // gone (leakedBlocks alone would miss a leaked extra ref on a
+        // shared block), every swap-in landed and the flash KV region
+        // is empty.
+        tree_.releaseAll();
+        CAMLLM_ASSERT(pool_.leakedBlocks() == 0,
+                      "%llu KV blocks leaked at drain",
+                      (unsigned long long)pool_.leakedBlocks());
+        CAMLLM_ASSERT(pool_.leakedRefs() == 0,
+                      "%llu KV block refs leaked at drain",
+                      (unsigned long long)pool_.leakedRefs());
+        CAMLLM_ASSERT(pool_.allocCount() == pool_.freeCount());
+        CAMLLM_ASSERT(swap_inflight_.empty(),
+                      "%zu swap-in ops never completed",
+                      swap_inflight_.size());
+        if (opt_.kv_swap)
+            CAMLLM_ASSERT(fs_.kvSwapLivePages() == 0,
+                          "%llu flash KV pages still live at drain",
+                          (unsigned long long)fs_.kvSwapLivePages());
+        assembleStats();
+        return std::move(out_);
+    }
+
+  private:
+    const CamConfig &config_;
+    const llm::ModelConfig &model_;
+    const SchedOptions &opt_;
+    const llm::QuantSpec quant_;
+    const std::uint64_t token_kv_bytes_;
+    const std::uint64_t token_kv_sim_bytes_;
+    KvPool pool_;
+    PrefixTree tree_;
+
+    // Shared device, same construction order as the single-request
+    // engine so a decode-only FCFS batch of one replays its exact
+    // event sequence.
+    EventQueue eq_;
+    npu::DramModel dram_;
+    flash::FlashSystem fs_;
+    NpuArbiter npu_;
+
+    flash::ClientId swap_client_ = 0;
+    DecodeStream::Env env_; ///< every stream's shared device
+    std::vector<ReqRun> runs_;
+    ServeStats out_; ///< counters accumulate here as the run goes
+
+    std::size_t next_admit_ = 0;
+    std::uint32_t active_ = 0;
+    bool wake_pending_ = false;
+    bool initial_wave_ = true;
+    SampleSet tbt_ms_;
+
+    std::unordered_map<std::uint64_t, SwapIn> swap_inflight_; ///< by op id
+    std::uint64_t swap_seq_ = 0;
+    std::uint32_t swap_rr_ch_ = 0;
+
+    // SLO admission control state: an EMA of depth-extrapolated
+    // milliseconds per prefill token, sampled from every finished
+    // prefill/recompute chunk. Zero until the first chunk lands, so
+    // the first admissions are never shed blind.
+    double prefill_ms_per_tok_ = 0.0;
+    double degrade_scale_ = 1.0; ///< ProportionalSlowdown chunk scale
+
+    // --- run lifecycle -------------------------------------------------
+
+    // The NPU weight-staging buffer is one physical resource; divide
+    // the prefetch window across however many streams are active.
+    void rebudget()
+    {
+        const std::uint64_t budget =
+            config_.npu.weight_buffer_bytes /
+            std::max<std::uint32_t>(1, active_);
+        for (ReqRun &r : runs_)
+            if (r.stream && !r.finished)
+                r.stream->setReadBudget(budget);
+    }
+
+    // Give up an active slot. Budget the survivors for the new
+    // concurrency BEFORE any woken waiter issues work (admit()/resume
+    // rebudget again if they change the count).
+    void releaseSlot()
+    {
+        CAMLLM_ASSERT(active_ > 0);
+        --active_;
+        rebudget();
+    }
+
+    std::size_t exited() const
+    {
+        return std::size_t(out_.completed) + out_.shed_slo +
+               out_.timeouts + out_.cancelled + out_.rejected_infeasible;
+    }
+
+    // The one exit: every request leaves the system here, exactly
+    // once, whatever its outcome. The makespan is the last exit. The
+    // retention scrubber self-reschedules forever; once the last
+    // request has left it must stop so the event queue can drain.
+    void retire(std::size_t i, RequestOutcome why)
+    {
+        ReqRun &r = runs_[i];
+        r.finished = true;
+        r.stats.outcome = why;
+        r.stats.finish_tick = eq_.now();
+        out_.sim_makespan = std::max(out_.sim_makespan, eq_.now());
+        switch (why) {
+        case RequestOutcome::Completed: ++out_.completed; break;
+        case RequestOutcome::TimedOut: ++out_.timeouts; break;
+        case RequestOutcome::Cancelled: ++out_.cancelled; break;
+        case RequestOutcome::ShedSlo: ++out_.shed_slo; break;
+        case RequestOutcome::RejectedInfeasible:
+            ++out_.rejected_infeasible;
+            break;
+        }
+        if (exited() == runs_.size())
+            fs_.stopRefresh();
+    }
+
+    // Bill the span since @p since as KV-blocked time (before the
+    // first token it also counts toward TTFT).
+    void addBlocked(ReqRun &r, Tick since)
+    {
+        const Tick span = eq_.now() - since;
+        r.stats.kv_blocked_time += span;
+        if (!r.first_emitted)
+            r.blocked_pre_ft += span;
+    }
+
+    void unstall(ReqRun &r)
+    {
+        if (r.stalled) {
+            r.stalled = false;
+            addBlocked(r, r.blocked_since);
+        }
+    }
+
+    // Tear a request down wherever it stands — queued, prefilling,
+    // decoding, stalled or evicted. An in-flight unit is abandoned
+    // through DecodeStream::abortUnit(): its completion port drops
+    // queued and future records, and the device work it already
+    // submitted keeps draining (and charging the channels) like a
+    // real cancelled request's in-flight I/O. KV blocks are released
+    // immediately and the freed capacity wakes waiters on this tick.
+    void killRun(std::size_t i, RequestOutcome why)
+    {
+        ReqRun &r = runs_[i];
+        if (r.finished)
+            return; // completed (or already torn down) first
+        retire(i, why);
+        if (!r.admitted) {
+            // Still queued: holds no blocks and no stream. It may be
+            // the head of the admission queue — re-run admission so
+            // the queue can advance past it.
+            admit();
+            return;
+        }
+        const bool was_active = !r.preempted;
+        unstall(r);
+        r.preempted = false;
+        r.preempt_pending = false;
+        if (r.stream)
+            r.stream->abortUnit();
+        // Swapped-out copies die with their owner; a swap-in run
+        // still in flight already returned its quota when it was
+        // issued, and its completion is dropped on the finished run.
+        if (r.swapped_out_tokens > 0) {
+            fs_.kvSwapFree(std::uint64_t(r.swapped_out_tokens) *
+                           token_kv_bytes_);
+            r.swapped_out_tokens = 0;
+        }
+        pool_.release(r.kv);
+        if (was_active)
+            releaseSlot();
+        onFree();
+    }
+
+    void noteChunkRate(const TokenStats &s, std::uint32_t chunk)
+    {
+        if (chunk == 0)
+            return;
+        const double ms =
+            double(s.token_time) / double(kMs) / double(chunk);
+        prefill_ms_per_tok_ = prefill_ms_per_tok_ == 0.0
+                                  ? ms
+                                  : 0.7 * prefill_ms_per_tok_ + 0.3 * ms;
+    }
+
+    void onChunkDone(std::size_t i, const TokenStats &s)
+    {
+        ReqRun &r = runs_[i];
+        r.sim_token_sum += eq_.now() - r.token_start;
+        r.stats.prefill_time += s.token_time;
+        ++r.stats.prefill_chunks;
+        noteChunkRate(s, r.cur_chunk);
+        r.prefill_done += r.cur_chunk;
+        r.cur_chunk = 0;
+        if (r.prefill_done >= r.spec.prompt) {
+            // The last chunk's head projection emitted the request's
+            // first token.
+            r.stats.first_token = s;
+            r.stats.first_token_tick = eq_.now();
+            r.first_emitted = true;
+        }
+        // Publish newly completed whole blocks of the shared prefix
+        // to the tree (cache ref on top of the table's — the block
+        // now survives this request's eviction or retirement).
+        // Blocks the tree already has insert as no-ops.
+        if (const std::size_t shareable = shareableBlocks(r.spec)) {
+            const std::size_t done_blocks = std::min<std::size_t>(
+                r.prefill_done / pool_.blockTokens(), shareable);
+            for (std::size_t k = 0; k < done_blocks; ++k)
+                tree_.insert(r.spec.prefix_id, k, r.kv.blocks[k]);
+        }
+        // Next chunk or the first decode step — or, at this unit
+        // boundary, a pending eviction.
+        startNext(i);
+    }
+
+    void onRecomputeDone(std::size_t i, const TokenStats &s)
+    {
+        ReqRun &r = runs_[i];
+        r.sim_token_sum += eq_.now() - r.token_start;
+        r.stats.recompute_time += s.token_time;
+        ++r.stats.recompute_chunks;
+        noteChunkRate(s, r.cur_chunk);
+        if (!r.first_emitted)
+            r.recompute_pre_ft += s.token_time;
+        r.rebuild_from += r.cur_chunk;
+        CAMLLM_ASSERT(r.recompute_pending >= r.cur_chunk);
+        r.recompute_pending -= r.cur_chunk;
+        out_.recompute_tokens += r.cur_chunk;
+        r.cur_chunk = 0;
+        startNext(i); // next rebuild range, or where it left off
+    }
+
+    void onTokenDone(std::size_t i, const TokenStats &s)
+    {
+        ReqRun &r = runs_[i];
+        r.sim_token_sum += eq_.now() - r.token_start;
+        r.stats.total_token_time += s.token_time;
+        if (r.tokens_done == 0 && r.spec.prompt == 0) {
+            // Decode-only request: its first decode step emits the
+            // first token.
+            r.stats.first_token = s;
+            r.stats.first_token_tick = eq_.now();
+            r.first_emitted = true;
+        } else {
+            tbt_ms_.add(double(s.token_time) / double(kMs));
+        }
+        ++r.tokens_done;
+        if (r.tokens_done < r.spec.decode_tokens) {
+            startNext(i); // continuous: no batch barrier
+            return;
+        }
+        r.preempt_pending = false; // retiring beats a pending evict
+        retire(i, RequestOutcome::Completed);
+        pool_.release(r.kv);
+        releaseSlot();
+        onFree(); // refill the slot / wake KV waiters, same tick
+    }
+
+    // The policy's next prefill (or recompute) chunk out of @p limit
+    // tokens of work: FCFS takes all of it at once; the chunked
+    // policy caps it at its token budget, which ProportionalSlowdown
+    // degradation shrinks under overload (floor 16) instead of
+    // shedding arrivals.
+    std::uint32_t chunkFor(std::uint32_t limit) const
+    {
+        if (opt_.policy != SchedPolicy::ChunkedInterleave)
+            return limit;
+        std::uint32_t budget = opt_.prefill_chunk;
+        if (degrade_scale_ < 1.0)
+            budget = std::max<std::uint32_t>(
+                16, std::uint32_t(double(budget) * degrade_scale_));
+        return std::min(budget, limit);
+    }
+
+    void startNext(std::size_t i)
+    {
+        ReqRun &r = runs_[i];
+        // A killed run's deferred start event (stagger/arrival) still
+        // fires — the EventQueue cannot cancel — and must be a no-op.
+        if (r.finished)
+            return;
+        // A pending eviction lands at the next unit boundary — which
+        // for a victim that never issued its first unit (deferred
+        // start via stagger or arrival) is right here.
+        if (r.preempt_pending) {
+            evictRun(i);
+            return;
+        }
+        // KV REBUILD: restore evicted coverage left to right. A range
+        // of swapped blocks streams back over the channels
+        // (WorkClass::KvSwap); everything else recomputes as prefill
+        // chunks under the policy's budget — no token is emitted
+        // (last_chunk = false) and the re-streamed weight traffic is
+        // tagged WorkClass::Recompute. Earlier positions are always
+        // resident before later ones rebuild, so attention inputs
+        // stay valid mid-rebuild. A resumed run holds a full
+        // reservation, so its ensureKv can never stall.
+        if (r.rebuild_from < r.rebuild_target) {
+            const std::uint32_t B = pool_.blockTokens();
+            const std::size_t blk = B > 0 ? r.rebuild_from / B : 0;
+            if (blk < r.swap_mask.size() && r.swap_mask[blk]) {
+                // Maximal contiguous run of swapped blocks.
+                std::uint32_t blocks = 0, tokens = 0;
+                for (std::size_t k = blk;
+                     k < r.swap_mask.size() && r.swap_mask[k] &&
+                     std::uint32_t(k) * B < r.rebuild_target;
+                     ++k) {
+                    tokens += std::min<std::uint32_t>(
+                        B, r.rebuild_target - std::uint32_t(k) * B);
+                    ++blocks;
+                }
+                issueSwapIn(i, blocks, tokens);
+                return;
+            }
+            // Recompute up to the next swapped block (if any).
+            std::uint32_t limit = r.rebuild_target - r.rebuild_from;
+            for (std::size_t k = blk; k < r.swap_mask.size(); ++k)
+                if (r.swap_mask[k] &&
+                    std::uint32_t(k) * B > r.rebuild_from) {
+                    limit = std::uint32_t(k) * B - r.rebuild_from;
+                    break;
+                }
+            const std::uint32_t chunk = chunkFor(limit);
+            if (!ensureKv(i, std::uint64_t(r.rebuild_from) + chunk))
+                return;
+            r.cur_chunk = chunk;
+            r.token_start = eq_.now();
+            r.stream->setWorkClass(flash::WorkClass::Recompute);
+            r.stream->startPrefillChunk(
+                chunk, r.rebuild_from, /*last_chunk=*/false,
+                [this, i](const TokenStats &s) { onRecomputeDone(i, s); });
+            return;
+        }
+        if (r.prefill_done < r.spec.prompt) {
+            // PREFILL: the next chunk of the remaining prompt.
+            const std::uint32_t remaining =
+                r.spec.prompt - r.prefill_done;
+            const std::uint32_t chunk = chunkFor(remaining);
+            const std::uint32_t kv_base =
+                r.spec.context + r.prefill_done;
+            if (!ensureKv(i, std::uint64_t(kv_base) + chunk))
+                return;
+            r.cur_chunk = chunk;
+            r.token_start = eq_.now();
+            r.stream->setWorkClass(std::nullopt);
+            r.stream->startPrefillChunk(
+                chunk, kv_base, chunk == remaining,
+                [this, i](const TokenStats &s) { onChunkDone(i, s); });
+            return;
+        }
+        // DECODE: the request's KV stream grows with every token.
+        const std::uint32_t seq =
+            r.spec.context + r.spec.prompt + r.tokens_done;
+        if (!ensureKv(i, std::uint64_t(seq) + 1)) // appends one token
+            return;
+        r.token_start = eq_.now();
+        r.stream->setWorkClass(std::nullopt);
+        r.stream->startToken(seq, [this, i](const TokenStats &s) {
+            onTokenDone(i, s);
+        });
+    }
+
+    // --- KV capacity: growth, eviction, swap ---------------------------
+
+    // Grow @p r's block table to cover @p tokens. A dry pool first
+    // sheds cold cache-only prefix blocks (nobody's table maps them)
+    // — cache capacity yields before anyone is preempted.
+    bool tryGrowKv(ReqRun &r, std::uint64_t tokens)
+    {
+        if (pool_.tryGrow(r.kv, tokens))
+            return true;
+        if (!opt_.kv_prefix_sharing)
+            return false;
+        const std::uint64_t shortfall = pool_.blocksForTokens(tokens) -
+                                        r.kv.blocks.size() -
+                                        pool_.freeBlocks();
+        return tree_.dropCold(shortfall) > 0 &&
+               pool_.tryGrow(r.kv, tokens);
+    }
+
+    // Grow @p i's block table to cover @p tokens, or stall the
+    // request and go looking for a victim.
+    bool ensureKv(std::size_t i, std::uint64_t tokens)
+    {
+        ReqRun &r = runs_[i];
+        if (tryGrowKv(r, tokens)) {
+            unstall(r);
+            return true;
+        }
+        if (!r.stalled) {
+            r.stalled = true;
+            r.blocked_since = eq_.now();
+        }
+        maybePreempt();
+        return false;
+    }
+
+    // Grow the FCFS resume-queue head to its full final reservation.
+    // With the KV-reuse knobs on, the head can be blocked by capacity
+    // that is only conditionally useful: cold prefix-cache blocks
+    // nobody maps, and head blocks that *younger* preempted victims
+    // kept through partial eviction. The head is older and resumes
+    // first, so when nothing active remains to free blocks, those
+    // keeps are worthless — reclaim them (the younger victims fall
+    // back to a full rebuild by recompute) rather than deadlock. With
+    // every knob off this is exactly the legacy tryGrow.
+    bool growForResume(std::size_t i)
+    {
+        ReqRun &r = runs_[i];
+        const std::uint64_t tokens = finalKvTokens(r.spec);
+        if (tryGrowKv(r, tokens))
+            return true;
+        if (!opt_.kv_partial_evict || active_ != 0)
+            return false;
+        for (std::size_t j = runs_.size(); j-- > i + 1;) {
+            ReqRun &q = runs_[j];
+            if (!q.preempted || q.kv.blocks.empty())
+                continue;
+            for (std::uint32_t b : q.kv.blocks)
+                pool_.releaseBlock(b);
+            q.kv.blocks.clear();
+            // The kept head tokens now rebuild like everything else;
+            // they were never swapped, so they recompute.
+            q.recompute_pending += q.rebuild_from;
+            q.rebuild_from = 0;
+            if (pool_.tryGrow(r.kv, tokens))
+                return true;
+        }
+        return false;
+    }
+
+    // Whole blocks of @p spec's shared prefix that prefix sharing may
+    // map from the tree at admission and publish to it as chunks
+    // land. Only blocks strictly inside a context-free prompt
+    // qualify, so the last chunk still runs and emits the first
+    // token.
+    std::size_t shareableBlocks(const ServeRequest &spec) const
+    {
+        if (!opt_.kv_prefix_sharing || spec.prefix_id == 0 ||
+            spec.context != 0 || spec.prompt < 2)
+            return 0;
+        return std::min(spec.prefix_tokens, spec.prompt - 1) /
+               pool_.blockTokens();
+    }
+
+    // Recompute-vs-swap cost model, decided per evicted block.
+    // Recompute re-runs the block's tokens as a prefill chunk: cost =
+    // tokens x the measured extrapolated ms/token (the admission EMA,
+    // which already bakes in NPU contention, retries and degradation;
+    // before the first sample, an NPU-bound MAC-time floor from the
+    // model's parameter count). Swap moves the block's full-depth
+    // bytes over the channel buses twice — out now, back on resume —
+    // at the bandwidth the alive channels have left at their current
+    // occupancy. Deterministic: every input is sim state.
+    bool swapBeatsRecompute(std::uint32_t tokens) const
+    {
+        const double recompute_ms =
+            prefill_ms_per_tok_ > 0.0
+                ? double(tokens) * prefill_ms_per_tok_
+                : double(config_.npu.computeTime(
+                      2.0 * double(model_.totalParams()) *
+                      double(tokens))) /
+                      double(kMs);
+        const double bus_bytes_per_ns =
+            double(fs_.aliveChannels()) *
+            config_.flash.timing.busBytesPerNs();
+        const double headroom = std::max(
+            0.05, 1.0 - fs_.avgChannelUtilization(eq_.now()));
+        const double swap_ms =
+            2.0 * double(std::uint64_t(tokens) * token_kv_bytes_) /
+            (bus_bytes_per_ns * headroom) / double(kMs);
+        return swap_ms < recompute_ms;
+    }
+
+    // Victim policy: the lowest-priority (latest-arrived) running
+    // request that does not hold a full reservation. Older requests
+    // are deep in decode while the newest is typically still
+    // prefilling, so eviction lands on young prefills first — the
+    // ROADMAP's decode-priority preemption. One eviction is in flight
+    // at a time; a mid-step victim is evicted at its next unit
+    // boundary, a stalled one (including the requester itself)
+    // immediately. When every active run is resumed there is no
+    // victim: the requester waits for a retirement, which resumed
+    // runs — they can never stall — are guaranteed to reach.
+    void maybePreempt()
+    {
+        for (const ReqRun &r : runs_)
+            if (r.preempt_pending)
+                return;
+        std::size_t victim = runs_.size();
+        for (std::size_t j = 0; j < runs_.size(); ++j) {
+            const ReqRun &r = runs_[j];
+            if (r.admitted && !r.finished && !r.preempted &&
+                !r.resumed)
+                victim = j;
+        }
+        if (victim == runs_.size())
+            return;
+        if (runs_[victim].stalled)
+            evictRun(victim);
+        else
+            runs_[victim].preempt_pending = true;
+    }
+
+    void evictRun(std::size_t j)
+    {
+        ReqRun &r = runs_[j];
+        CAMLLM_ASSERT(r.admitted && !r.finished && !r.preempted);
+        if (!r.stalled)
+            r.blocked_since = eq_.now();
+        r.stalled = false;
+        r.preempt_pending = false;
+        r.preempted = true;
+        // Everything the victim sheds must be restored before it can
+        // continue: warm context, prefilled prompt positions and the
+        // KV of every decoded token. Eviction is block-granular —
+        // each shed block either swaps out to flash (cost model and
+        // region quota permitting) or is marked for recompute.
+        const auto coverage = std::uint32_t(
+            r.spec.context + r.prefill_done + r.tokens_done);
+        const std::size_t n_blocks = r.kv.blocks.size();
+        CAMLLM_ASSERT(n_blocks == pool_.blocksForTokens(coverage),
+                      "victim table covers %zu blocks, coverage %u "
+                      "tokens needs %llu",
+                      n_blocks, coverage,
+                      (unsigned long long)pool_.blocksForTokens(
+                          coverage));
+        const std::uint32_t B = pool_.blockTokens();
+
+        // Partial eviction: keep the head and shed only the coldest
+        // tail — enough blocks that actually free capacity (shared
+        // blocks held elsewhere free nothing) to cover the worst
+        // stalled run's *final* demand, not just the boundary it
+        // tripped on. Sizing for the final demand costs a few more
+        // tail blocks now but keeps the requester from stalling again
+        // a few tokens later and triggering an eviction cascade that
+        // would erase the partial keep's savings. When even the whole
+        // table cannot cover it, fall back to full eviction (the
+        // legacy policy, and the only choice with the knob off).
+        std::size_t keep = 0;
+        if (opt_.kv_partial_evict && n_blocks > 0) {
+            std::uint64_t need = 1;
+            for (const ReqRun &q : runs_)
+                if (q.stalled) {
+                    const std::uint64_t q_need = pool_.blocksForTokens(
+                        finalKvTokens(q.spec));
+                    if (q_need > q.kv.blocks.size())
+                        need = std::max(need, q_need -
+                                                  q.kv.blocks.size());
+                }
+            const std::uint64_t free_now = pool_.freeBlocks();
+            need = need > free_now ? need - free_now : 1;
+            std::uint64_t freeable = 0;
+            std::size_t k = n_blocks;
+            while (k > 0 && freeable < need) {
+                --k;
+                if (pool_.refCount(r.kv.blocks[k]) == 1)
+                    ++freeable;
+            }
+            if (freeable >= need && k > 0) {
+                keep = k;
+                ++out_.partial_evictions;
+            }
+        }
+
+        r.rebuild_from =
+            std::min(std::uint32_t(keep) * B, coverage);
+        r.rebuild_target = coverage;
+        r.recompute_pending = 0;
+        r.swap_mask.assign(n_blocks, 0);
+        for (std::size_t k = keep; k < n_blocks; ++k) {
+            const std::uint32_t lo = std::uint32_t(k) * B;
+            const std::uint32_t tok =
+                std::min<std::uint32_t>(B, coverage - lo);
+            bool swapped = false;
+            // Shared blocks stay resident for their other holders —
+            // swapping a copy out would duplicate live DRAM data, so
+            // they always rebuild by recompute here.
+            if (opt_.kv_swap && tok > 0 &&
+                pool_.refCount(r.kv.blocks[k]) == 1 &&
+                swapBeatsRecompute(tok)) {
+                const std::uint64_t full =
+                    std::uint64_t(tok) * token_kv_bytes_;
+                const std::uint64_t sim =
+                    std::uint64_t(tok) * token_kv_sim_bytes_;
+                if (fs_.kvSwapOut(full, sim)) {
+                    swapped = true;
+                    r.swapped_out_tokens += tok;
+                    ++out_.swap_out_blocks;
+                } else {
+                    ++out_.swap_refused_blocks;
+                }
+            }
+            r.swap_mask[k] = swapped ? 1 : 0;
+            if (!swapped)
+                r.recompute_pending += tok;
+            pool_.releaseBlock(r.kv.blocks[k]);
+        }
+        r.kv.blocks.resize(keep);
+        ++r.stats.preemptions;
+        ++out_.preemptions;
+        releaseSlot();
+        onFree();
+    }
+
+    // Stream a run of swapped-out blocks back from flash: page reads
+    // tagged WorkClass::KvSwap, round-robin over the channels, on the
+    // scheduler's own flash client. The owner waits for the whole run
+    // to land (onSwapCompletion) before continuing its rebuild; the
+    // flash copies' quota returns here, at issue.
+    void issueSwapIn(std::size_t i, std::uint32_t blocks,
+                     std::uint32_t tokens)
+    {
+        ReqRun &r = runs_[i];
+        CAMLLM_ASSERT(r.swapped_out_tokens >= tokens);
+        r.swapped_out_tokens -= tokens;
+        fs_.kvSwapFree(std::uint64_t(tokens) * token_kv_bytes_);
+        const std::uint64_t op = ++swap_seq_;
+        const std::uint64_t sim =
+            std::uint64_t(tokens) * token_kv_sim_bytes_;
+        swap_inflight_.emplace(
+            op, SwapIn{i, sim, blocks, tokens, eq_.now()});
+        const std::uint32_t page = config_.flash.geometry.page_bytes;
+        std::uint64_t left = sim;
+        while (left > 0) {
+            flash::ReadPageJob job;
+            job.client = swap_client_;
+            job.cls = flash::WorkClass::KvSwap;
+            job.op_id = op;
+            job.bytes = std::uint32_t(
+                std::min<std::uint64_t>(page, left));
+            left -= job.bytes;
+            fs_.submitRead(swap_rr_ch_, job);
+            swap_rr_ch_ = (swap_rr_ch_ + 1) % fs_.channelCount();
+        }
+    }
+
+    // Swap-in completions: count a whole block run restored only when
+    // its last page lands, bill the span as KV-blocked time (it is
+    // pool-management wait, not NPU service — so TTFT/TBT see it at
+    // the run's extrapolation factor, like any other KV stall), and
+    // let the owner continue its rebuild.
+    void onSwapCompletion(const flash::Completion &c)
+    {
+        if (c.kind != flash::Completion::Kind::ReadData)
+            return;
+        auto it = swap_inflight_.find(c.op_id);
+        CAMLLM_ASSERT(it != swap_inflight_.end(),
+                      "swap completion for unknown op %llu",
+                      (unsigned long long)c.op_id);
+        SwapIn &sw = it->second;
+        CAMLLM_ASSERT(sw.remaining >= c.bytes);
+        sw.remaining -= c.bytes;
+        if (sw.remaining > 0)
+            return;
+        const SwapIn done = sw;
+        swap_inflight_.erase(it);
+        ReqRun &r = runs_[done.run];
+        // A run killed mid-swap-in already freed its quota at issue;
+        // the late data is simply dropped.
+        if (r.finished)
+            return;
+        r.rebuild_from += done.tokens;
+        CAMLLM_ASSERT(r.rebuild_from <= r.rebuild_target);
+        r.stats.swapped_in_blocks += done.blocks;
+        out_.swap_in_blocks += done.blocks;
+        addBlocked(r, done.start);
+        startNext(done.run);
+    }
+
+    void onFree()
+    {
+        // 1. Stalled running requests retry first (they hold blocks
+        //    and are mid-request — decode priority), arrival order.
+        //    startNext re-derives the pending unit and either issues
+        //    it or re-stalls.
+        for (std::size_t i = 0; i < runs_.size(); ++i)
+            if (runs_[i].stalled)
+                startNext(i);
+        // 2. Evicted requests resume strictly FCFS, each only with a
+        //    reservation for its full final KV demand — a resumed run
+        //    can never stall again, which keeps the schedule
+        //    livelock-free (and means a request is evicted at most
+        //    once).
+        std::vector<std::size_t> resumed_now;
+        for (std::size_t i = 0; i < runs_.size(); ++i) {
+            ReqRun &r = runs_[i];
+            if (!r.preempted)
+                continue;
+            if (!growForResume(i))
+                break;
+            r.preempted = false;
+            r.resumed = true;
+            addBlocked(r, r.blocked_since);
+            ++active_;
+            resumed_now.push_back(i);
+        }
+        if (!resumed_now.empty()) {
+            rebudget();
+            for (std::size_t i : resumed_now)
+                startNext(i);
+        }
+        // 3. New admissions last.
+        admit();
+    }
+
+    // --- admission and SLO projection ----------------------------------
+
+    // Projected TTFT for an arriving request: every admitted run's
+    // outstanding prefill + recompute tokens are ahead of the new
+    // request's own prompt on the shared device. Swapped-out rebuild
+    // ranges stream over the channels, not the NPU, so only the
+    // recompute share counts as prefill backlog.
+    double projectedTtftMs(const ServeRequest &spec) const
+    {
+        // Cold start: no prefill chunk has finished, so there is no
+        // measured rate to project from. Admit — the guard must never
+        // shed on an empty EMA (a burst at t = 0 would otherwise be
+        // rejected blind; pinned by the SLO cold-start test).
+        if (prefill_ms_per_tok_ <= 0.0)
+            return 0.0;
+        std::uint64_t backlog = 0;
+        for (const ReqRun &q : runs_)
+            if (q.admitted && !q.finished)
+                backlog += (q.spec.prompt - q.prefill_done) +
+                           q.recompute_pending;
+        const std::uint64_t own =
+            std::max<std::uint32_t>(1, spec.prompt);
+        return double(backlog + own) * prefill_ms_per_tok_;
+    }
+
+    void admit()
+    {
+        std::vector<std::size_t> started;
+        while (active_ < opt_.max_batch && next_admit_ < runs_.size()) {
+            ReqRun &r = runs_[next_admit_];
+            // Skip over queued requests already torn down (cancelled
+            // or timed out before they ever got a slot).
+            if (r.finished) {
+                ++next_admit_;
+                continue;
+            }
+            const ServeRequest &spec = r.spec;
+            if (spec.arrival > eq_.now()) {
+                // Head of the queue is in the future: wake when it
+                // lands (arrivals are sorted, one wake suffices).
+                if (!wake_pending_) {
+                    wake_pending_ = true;
+                    eq_.schedule(spec.arrival, [this] {
+                        wake_pending_ = false;
+                        admit();
+                    });
+                }
+                break;
+            }
+            // A request whose final KV demand exceeds the whole pool
+            // can never run: reject it loudly at its admission point
+            // (ServeStats::rejected_infeasible) and keep serving
+            // everyone else.
+            const std::uint64_t demand = finalKvTokens(spec);
+            if (pool_.bounded() &&
+                pool_.blocksForTokens(demand) > pool_.totalBlocks()) {
+                warn("rejecting request %zu: KV demand (%llu tokens "
+                     "= %llu blocks of %u) exceeds the whole KV "
+                     "budget (%llu blocks)",
+                     next_admit_, (unsigned long long)demand,
+                     (unsigned long long)pool_.blocksForTokens(demand),
+                     opt_.kv_block_tokens,
+                     (unsigned long long)pool_.totalBlocks());
+                retire(next_admit_++, RequestOutcome::RejectedInfeasible);
+                continue;
+            }
+            // SLO-aware degradation at the admission point. Under
+            // ShedNewest an arrival whose projected TTFT (queue of
+            // admitted prefill work ahead of it, at the measured
+            // per-token rate) already busts the target is turned
+            // away; under ProportionalSlowdown everyone is admitted
+            // but the prefill chunk budget shrinks with the overload.
+            if (opt_.slo_ttft_ms > 0.0) {
+                const double projected = projectedTtftMs(spec);
+                if (opt_.degrade == DegradePolicy::ShedNewest) {
+                    if (projected > opt_.slo_ttft_ms) {
+                        warn("shedding request %zu: projected TTFT "
+                             "%.0f ms exceeds SLO %.0f ms",
+                             next_admit_, projected, opt_.slo_ttft_ms);
+                        retire(next_admit_++, RequestOutcome::ShedSlo);
+                        continue;
+                    }
+                } else {
+                    degrade_scale_ =
+                        projected > opt_.slo_ttft_ms
+                            ? std::max(0.25,
+                                       opt_.slo_ttft_ms / projected)
+                            : 1.0;
+                }
+            }
+            // Admission requires the request's warm context KV to be
+            // resident; a dry pool queues the head FCFS (admission
+            // never preempts — only running requests' growth does)
+            // and retries on the next block free.
+            if (spec.context > 0 && !pool_.tryGrow(r.kv, spec.context))
+                break;
+            const std::size_t i = next_admit_++;
+            ++out_.admitted;
+            r.stream = std::make_unique<DecodeStream>(env_);
+            r.stream->setKvView(llm::KvView{opt_.kv_block_tokens});
+            // Prefix sharing: map the tree's cached leading blocks
+            // into this request's table (refcounted — the tree keeps
+            // its own ref) and skip their prefill.
+            const std::size_t hit = tree_.match(
+                spec.prefix_id, shareableBlocks(spec), r.kv.blocks);
+            if (hit > 0) {
+                r.prefill_done = std::uint32_t(hit) * pool_.blockTokens();
+                r.stats.prefix_reused_tokens = r.prefill_done;
+            }
+            r.admitted = true;
+            ++active_;
+            started.push_back(i);
+        }
+        if (started.empty())
+            return;
+        // Budget every stream for the new concurrency BEFORE any new
+        // stream issues work, so no first token prefetches with more
+        // than its share of the staging buffer.
+        rebudget();
+        for (std::size_t i : started) {
+            ReqRun &r = runs_[i];
+            // Stagger only the initial wave (i * stagger ticks); the
+            // slot is held from admission, the stream just waits for
+            // its start slot. A delay of zero starts synchronously,
+            // which keeps the decode-only event sequence identical to
+            // its recorded golden stats.
+            Tick start = initial_wave_ ? Tick(i) * opt_.admission_stagger
+                                       : eq_.now();
+            if (start < r.spec.arrival)
+                start = r.spec.arrival;
+            r.stats.admit_tick = start;
+            if (start == eq_.now())
+                startNext(i);
+            else
+                eq_.schedule(start, [this, i] { startNext(i); });
+        }
+    }
+
+    // --- stats assembly ------------------------------------------------
+
+    void assembleStats()
+    {
+        out_.max_batch = opt_.max_batch;
+        // sim_makespan is the last request exit (retire()), not
+        // eq.now(): trailing no-op deadline and cancel events,
+        // fault-model timers and Low-priority swap-out writes can all
+        // drain after it.
+        out_.sim_events = eq_.executed();
+        out_.requests.reserve(runs_.size());
+
+        Tick sim_sum = 0, ext_sum = 0;
+        double rate_sum = 0.0, rate_sq_sum = 0.0;
+        std::uint64_t goodput_tokens = 0;
+        for (ReqRun &r : runs_) {
+            ServeRequestStats &st = r.stats;
+            // A killed run completed only tokens_done of its decode
+            // budget (a completed run's tokens_done equals
+            // decode_tokens, so these expressions reduce to the
+            // historical ones).
+            const std::uint32_t steps = r.tokens_done;
+            st.tokens_emitted =
+                steps + ((st.prompt > 0 && r.first_emitted) ? 1u : 0u);
+            st.mean_token_time =
+                steps > 0 ? st.total_token_time / steps : 0;
+            st.tokens_per_s =
+                st.total_token_time > 0
+                    ? double(steps) * double(kSec) /
+                          double(st.total_token_time)
+                    : 0.0;
+            out_.total_tokens += st.tokens_emitted;
+            if (st.outcome == RequestOutcome::Completed)
+                goodput_tokens += st.tokens_emitted;
+            sim_sum += r.sim_token_sum;
+            ext_sum += st.total_token_time + st.prefill_time +
+                       st.recompute_time;
+            rate_sum += st.tokens_per_s;
+            rate_sq_sum += st.tokens_per_s * st.tokens_per_s;
+            out_.requests.push_back(std::move(st));
+        }
+
+        out_.extrapolation_factor =
+            sim_sum > 0 ? double(ext_sum) / double(sim_sum) : 1.0;
+        const double real_makespan =
+            double(out_.sim_makespan) * out_.extrapolation_factor;
+        out_.finite_run_tokens_per_s =
+            real_makespan > 0.0
+                ? double(out_.total_tokens) * double(kSec) / real_makespan
+                : 0.0;
+        const double concurrency = double(
+            std::min<std::size_t>(opt_.max_batch, out_.requests.size()));
+        out_.aggregate_tokens_per_s =
+            concurrency * rate_sum / double(out_.requests.size());
+        out_.avg_channel_util = fs_.avgChannelUtilization(out_.sim_makespan);
+        const std::size_t n = out_.requests.size();
+        out_.fairness_jain =
+            rate_sq_sum > 0.0
+                ? (rate_sum * rate_sum) / (double(n) * rate_sq_sum)
+                : 1.0;
+
+        // Latency SLOs in depth-extrapolated milliseconds. Service
+        // spans are the sum of per-step extrapolated times
+        // (contention stalls included in each step's span);
+        // queue-wait, KV-stall and eviction waits are sim time scaled
+        // by the run's measured extrapolation factor, and
+        // pre-first-token recompute is service time. With an
+        // unbounded pool the KV terms are all zero and the formula
+        // reduces to the pre-paging one exactly.
+        SampleSet ttft_ms;
+        for (std::size_t i = 0; i < out_.requests.size(); ++i) {
+            ServeRequestStats &st = out_.requests[i];
+            const ReqRun &r = runs_[i];
+            // A request torn down before its first token has no TTFT
+            // sample (and admit_tick may never have been set).
+            if (!r.first_emitted) {
+                st.ttft_ms = 0.0;
+                st.mean_tbt_ms = 0.0;
+                continue;
+            }
+            const double wait = (double(st.admit_tick - st.arrival) +
+                                 double(r.blocked_pre_ft)) *
+                                out_.extrapolation_factor;
+            double ttft = wait + double(st.prefill_time) +
+                          double(r.recompute_pre_ft);
+            if (st.prompt == 0)
+                ttft += double(st.first_token.token_time);
+            st.ttft_ms = ttft / double(kMs);
+            ttft_ms.add(st.ttft_ms);
+
+            Tick tbt_total = st.total_token_time;
+            std::uint32_t tbt_n = r.tokens_done;
+            if (st.prompt == 0) {
+                tbt_total -= st.first_token.token_time;
+                tbt_n -= 1;
+            }
+            st.mean_tbt_ms =
+                tbt_n > 0
+                    ? double(tbt_total) / double(tbt_n) / double(kMs)
+                    : 0.0;
+        }
+        out_.ttft = summarize(ttft_ms);
+        out_.tbt = summarize(tbt_ms_);
+
+        out_.npu_array_util =
+            opt_.npu_contention ? npu_.arrayUtilization(out_.sim_makespan)
+                                : 0.0;
+        out_.prefill_channel_bytes =
+            fs_.deliveredBytes(flash::WorkClass::Prefill);
+        out_.decode_channel_bytes =
+            fs_.deliveredBytes(flash::WorkClass::Decode);
+        out_.recompute_channel_bytes =
+            fs_.deliveredBytes(flash::WorkClass::Recompute);
+
+        out_.kv_swap_channel_bytes =
+            opt_.kv_swap ? fs_.kvSwapChannelBytes() : 0;
+        out_.prefix_hit_blocks = tree_.hitBlocks();
+        out_.prefix_hit_tokens =
+            tree_.hitBlocks() * std::uint64_t(pool_.blockTokens());
+        out_.prefix_inserted_blocks = tree_.insertedBlocks();
+        out_.prefix_dropped_blocks = tree_.droppedBlocks();
+        out_.kv_blocks_total = pool_.bounded() ? pool_.totalBlocks() : 0;
+        out_.kv_blocks_high_water = pool_.highWaterBlocks();
+        out_.kv_block_allocs = pool_.allocCount();
+        out_.kv_block_frees = pool_.freeCount();
+
+        out_.goodput_tokens_per_s =
+            real_makespan > 0.0
+                ? double(goodput_tokens) * double(kSec) / real_makespan
+                : 0.0;
+        out_.read_retries = fs_.retryReads();
+        out_.retry_channel_bytes = fs_.retryBytes();
+        out_.remap_bytes = fs_.remapBytes();
+        out_.channels_lost = fs_.channelsLost();
+        out_.reissued_jobs = fs_.reissuedJobs();
+        out_.refresh_pages = fs_.refreshPages();
+        out_.refresh_channel_bytes = fs_.refreshChannelBytes();
+        out_.refresh_deferred_beats = fs_.refreshDeferredBeats();
+        out_.wear_spread_pe = fs_.wearSpreadPe();
+        out_.wear_mean_pe = fs_.wearMeanPe();
+        out_.wear_max_pe = fs_.wearMaxPe();
+    }
+};
 
 } // namespace
 
@@ -57,6 +1207,18 @@ Scheduler::serve(const std::vector<ServeRequest> &requests,
     CAMLLM_ASSERT(opt.max_batch >= 1);
     if (opt.policy == SchedPolicy::ChunkedInterleave)
         CAMLLM_ASSERT(opt.prefill_chunk >= 1);
+    CAMLLM_ASSERT(opt.degrade != DegradePolicy::ProportionalSlowdown ||
+                      opt.policy == SchedPolicy::ChunkedInterleave,
+                  "degrade = ProportionalSlowdown shrinks prefill "
+                  "chunks, but policy = DecodeFirstFcfs never chunks");
+    if (opt.kv_swap)
+        CAMLLM_ASSERT(opt.kv_budget_bytes > 0,
+                      "kv_swap without a bounded KV pool has nothing "
+                      "to swap");
+    if (opt.kv_prefix_sharing)
+        CAMLLM_ASSERT(opt.kv_block_tokens >= 1,
+                      "kv_prefix_sharing shares whole KV blocks and "
+                      "needs kv_block_tokens >= 1");
     for (std::size_t i = 0; i < requests.size(); ++i) {
         const ServeRequest &r = requests[i];
         CAMLLM_ASSERT(r.prompt + r.context >= 1 &&
@@ -65,1176 +1227,7 @@ Scheduler::serve(const std::vector<ServeRequest> &requests,
                           r.arrival >= requests[i - 1].arrival,
                       "arrival trace must be time-ordered");
     }
-
-    // The KV pool bounds DRAM KV capacity at full model depth: one
-    // block holds block_tokens positions of K+V across every layer.
-    const llm::QuantSpec quant = llm::QuantSpec::of(config_.quant);
-    const std::uint64_t token_kv_bytes =
-        std::uint64_t(model_.kvDim()) * (quant.act_bits / 8) *
-        model_.n_layers;
-    // The sampled-layer share of a token's KV — what one swap
-    // transfer actually moves on the sim clock, matching the depth
-    // convention of every other transfer in the run.
-    const std::uint64_t token_kv_sim_bytes =
-        std::uint64_t(model_.kvDim()) * (quant.act_bits / 8) *
-        std::min(model_.n_layers, config_.sample_layers);
-    KvPool pool(opt.kv_budget_bytes, opt.kv_block_tokens,
-                std::uint64_t(opt.kv_block_tokens) * token_kv_bytes);
-    if (opt.kv_swap)
-        CAMLLM_ASSERT(pool.bounded(),
-                      "kv_swap without a bounded KV pool has nothing "
-                      "to swap");
-    if (opt.kv_prefix_sharing)
-        CAMLLM_ASSERT(opt.kv_block_tokens >= 1,
-                      "kv_prefix_sharing shares whole KV blocks and "
-                      "needs kv_block_tokens >= 1");
-    PrefixTree tree(pool);
-
-    const auto finalKvTokens = [](const ServeRequest &s) {
-        return std::uint64_t(s.context) + s.prompt + s.decode_tokens;
-    };
-    // A request whose final KV demand exceeds the whole pool can
-    // never run; it is rejected gracefully at its admission point
-    // (ServeStats::rejected_infeasible) instead of killing the serve.
-    std::vector<char> infeasible(requests.size(), 0);
-    if (pool.bounded())
-        for (std::size_t i = 0; i < requests.size(); ++i)
-            if (pool.blocksForTokens(finalKvTokens(requests[i])) >
-                pool.totalBlocks())
-                infeasible[i] = 1;
-
-    // Shared device, same construction order as the single-request
-    // engine so a decode-only FCFS batch of one replays its exact
-    // event sequence.
-    EventQueue eq;
-    npu::DramModel dram(eq, config_.npu);
-    flash::FlashSystem fs(eq, config_.flash, config_.tile_window,
-                          config_.slicing);
-    NpuArbiter npu(eq, opt.npu_contention);
-
-    // Fault injection: arm the spec on the device before anything
-    // runs. An inactive spec arms nothing, so the fault-free event
-    // sequence is byte-identical to a run without this block.
-    flash::FaultSpec faults = opt.faults;
-    if (faults.any()) {
-        if (faults.model_weight_bytes == 0)
-            faults.model_weight_bytes =
-                quant.weightBytes(model_.totalParams());
-        fs.armFaults(faults);
-    }
-
-    // KV swap-to-flash: reserve the flash KV region (reusing the
-    // fault layer's placement map when one exists) and connect the
-    // scheduler's own completion port for swap-in reads. Nothing here
-    // runs when the knob is off, so the no-swap event sequence is
-    // untouched.
-    flash::ClientId swap_client = 0;
-    std::function<void(const flash::Completion &)> onSwapCompletion;
-    if (opt.kv_swap) {
-        fs.enableKvSwap(quant.weightBytes(model_.totalParams()),
-                        opt.kv_swap_flash_bytes);
-        swap_client =
-            fs.connect([&](const flash::Completion &c) {
-                onSwapCompletion(c);
-            });
-    }
-
-    struct ReqRun
-    {
-        ServeRequest spec;
-        CamConfig cfg; ///< seq_len rebound per token
-        std::unique_ptr<DecodeStream> stream;
-        ServeRequestStats stats;
-        std::uint32_t prefill_done = 0; ///< prompt tokens prefilled
-        std::uint32_t cur_chunk = 0;    ///< in-flight chunk length
-        std::uint32_t tokens_done = 0;  ///< decode steps completed
-        Tick token_start = 0;
-        Tick sim_token_sum = 0; ///< simulated (un-extrapolated) time
-        bool finished = false;
-
-        // --- KV pool state ---------------------------------------------
-        KvBlockTable kv;
-        bool admitted = false;
-        bool stalled = false;   ///< at a boundary, pool dry
-        bool preempted = false; ///< evicted, waiting to resume
-        bool preempt_pending = false; ///< evict at next step end
-        bool resumed = false;   ///< holds a full reservation
-        bool first_emitted = false;
-
-        // Block-granular rebuild state after an eviction. Coverage
-        // [0, rebuild_from) is resident (kept by partial eviction or
-        // already restored); [rebuild_from, rebuild_target) rebuilds
-        // left to right — swap-mask blocks stream back from flash,
-        // the rest recompute as Recompute-tagged prefill chunks. With
-        // every KV-reuse knob off this degenerates to the legacy
-        // whole-table recompute (from 0, nothing masked).
-        std::uint32_t rebuild_from = 0;   ///< tokens restored so far
-        std::uint32_t rebuild_target = 0; ///< coverage to restore
-        std::uint32_t recompute_pending = 0; ///< unswapped rebuild tokens
-        std::uint32_t want_tokens = 0; ///< coverage asked while stalled
-        std::uint32_t swapped_out_tokens = 0; ///< flash copies not yet back
-        std::vector<std::uint8_t> swap_mask; ///< block idx → copy in flash
-        Tick blocked_since = 0;
-        Tick blocked_pre_ft = 0;    ///< KV-blocked sim before 1st token
-        Tick recompute_pre_ft = 0;  ///< recompute service before it
-    };
-
-    std::vector<ReqRun> runs(requests.size());
-    // Identity fields are filled for every request up front — a
-    // request that is rejected, shed or cancelled before admission
-    // still lands in ServeStats with valid shape fields.
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-        ReqRun &r = runs[i];
-        r.spec = requests[i];
-        r.cfg = config_;
-        r.stats.id = std::uint32_t(i);
-        r.stats.prompt = r.spec.prompt;
-        r.stats.context = r.spec.context;
-        r.stats.decode_tokens = r.spec.decode_tokens;
-        r.stats.arrival = r.spec.arrival;
-    }
-    std::size_t next_admit = 0;
-    std::uint32_t active = 0;
-    std::uint64_t completed = 0;
-    std::uint32_t n_admitted = 0;
-    std::uint32_t n_shed = 0;
-    std::uint32_t n_timeouts = 0;
-    std::uint32_t n_cancelled = 0;
-    std::uint32_t n_rejected = 0;
-    Tick horizon = 0; ///< last request-exit tick (see sim_makespan)
-    bool wake_pending = false;
-    SampleSet tbt_ms;
-    std::uint32_t total_preemptions = 0;
-    std::uint64_t total_recompute_tokens = 0;
-    std::uint32_t total_partial_evictions = 0;
-    std::uint64_t total_swap_out_blocks = 0;
-    std::uint64_t total_swap_in_blocks = 0;
-    std::uint64_t total_swap_refused_blocks = 0;
-
-    // In-flight swap-in ops on the scheduler's flash client: op id →
-    // the owning run and the payload still to land.
-    struct SwapIn
-    {
-        std::size_t run = 0;
-        std::uint64_t remaining = 0;
-        std::uint32_t blocks = 0;
-        std::uint32_t tokens = 0;
-        Tick start = 0;
-    };
-    std::unordered_map<std::uint64_t, SwapIn> swap_inflight;
-    std::uint64_t swap_seq = 0;
-    std::uint32_t swap_rr_ch = 0;
-
-    // SLO admission control state: an EMA of depth-extrapolated
-    // milliseconds per prefill token, sampled from every finished
-    // prefill/recompute chunk. Zero until the first chunk lands, so
-    // the first admissions are never shed blind.
-    double prefill_ms_per_tok = 0.0;
-    double degrade_scale = 1.0; ///< ProportionalSlowdown chunk scale
-
-    DecodeStream::Env base;
-    base.model = &model_;
-    base.plans = plan_cache_.get();
-    base.eq = &eq;
-    base.dram = &dram;
-    base.fs = &fs;
-    base.npu = &npu;
-
-    // The NPU weight-staging buffer is one physical resource; divide
-    // the prefetch window across however many streams are active.
-    const auto rebudget = [&] {
-        const std::uint64_t budget =
-            config_.npu.weight_buffer_bytes /
-            std::max<std::uint32_t>(1, active);
-        for (ReqRun &r : runs)
-            if (r.stream && !r.finished)
-                r.stream->setReadBudget(budget);
-    };
-
-    std::function<void(std::size_t)> startNext;
-    std::function<void()> admit;
-    std::function<void()> onFree;
-    std::function<void(std::size_t)> evictRun;
-    std::function<void(std::size_t, RequestOutcome)> killRun;
-
-    const auto accountUnblock = [&](ReqRun &r) {
-        const Tick span = eq.now() - r.blocked_since;
-        r.stats.kv_blocked_time += span;
-        if (!r.first_emitted)
-            r.blocked_pre_ft += span;
-    };
-
-    const auto countOutcome = [&](RequestOutcome why) {
-        switch (why) {
-        case RequestOutcome::TimedOut: ++n_timeouts; break;
-        case RequestOutcome::Cancelled: ++n_cancelled; break;
-        case RequestOutcome::ShedSlo: ++n_shed; break;
-        case RequestOutcome::RejectedInfeasible: ++n_rejected; break;
-        case RequestOutcome::Completed: break;
-        }
-    };
-
-    // The retention scrubber self-reschedules forever; once the last
-    // request has left the system (by any outcome) it must stop so
-    // the event queue can drain. Call after every exit accounting.
-    const auto noteRequestExit = [&] {
-        if (completed + n_shed + n_timeouts + n_cancelled + n_rejected ==
-            runs.size())
-            fs.stopRefresh();
-    };
-
-    // Projected TTFT for an arriving request: every admitted run's
-    // outstanding prefill + recompute tokens are ahead of the new
-    // request's own prompt on the shared device. Swapped-out rebuild
-    // ranges stream over the channels, not the NPU, so only the
-    // recompute share counts as prefill backlog.
-    const auto projectedTtftMs = [&](const ServeRequest &spec) {
-        // Cold start: no prefill chunk has finished, so there is no
-        // measured rate to project from. Admit — the guard must never
-        // shed on an empty EMA (a burst at t = 0 would otherwise be
-        // rejected blind; pinned by the SLO cold-start test).
-        if (prefill_ms_per_tok <= 0.0)
-            return 0.0;
-        std::uint64_t backlog = 0;
-        for (const ReqRun &q : runs)
-            if (q.admitted && !q.finished)
-                backlog += (q.spec.prompt - q.prefill_done) +
-                           q.recompute_pending;
-        const std::uint64_t own =
-            std::max<std::uint32_t>(1, spec.prompt);
-        return double(backlog + own) * prefill_ms_per_tok;
-    };
-
-    const auto noteChunkRate = [&](const TokenStats &s,
-                                   std::uint32_t chunk) {
-        if (chunk == 0)
-            return;
-        const double ms =
-            double(s.token_time) / double(kMs) / double(chunk);
-        prefill_ms_per_tok = prefill_ms_per_tok == 0.0
-                                 ? ms
-                                 : 0.7 * prefill_ms_per_tok + 0.3 * ms;
-    };
-
-    // Recompute-vs-swap cost model, decided per evicted block.
-    // Recompute re-runs the block's tokens as a prefill chunk: cost =
-    // tokens x the measured extrapolated ms/token (the admission EMA,
-    // which already bakes in NPU contention, retries and degradation;
-    // before the first sample, an NPU-bound MAC-time floor from the
-    // model's parameter count). Swap moves the block's full-depth
-    // bytes over the channel buses twice — out now, back on resume —
-    // at the bandwidth the alive channels have left at their current
-    // occupancy. Deterministic: every input is sim state.
-    const auto swapBeatsRecompute = [&](std::uint32_t tokens) {
-        double recompute_ms;
-        if (prefill_ms_per_tok > 0.0) {
-            recompute_ms = double(tokens) * prefill_ms_per_tok;
-        } else {
-            const double flops =
-                2.0 * double(model_.totalParams()) * double(tokens);
-            recompute_ms =
-                double(config_.npu.computeTime(flops)) / double(kMs);
-        }
-        const double bus_bytes_per_ns =
-            double(fs.aliveChannels()) *
-            config_.flash.timing.busBytesPerNs();
-        const double headroom = std::max(
-            0.05, 1.0 - fs.avgChannelUtilization(eq.now()));
-        const double swap_ms =
-            2.0 * double(std::uint64_t(tokens) * token_kv_bytes) /
-            (bus_bytes_per_ns * headroom) / double(kMs);
-        return swap_ms < recompute_ms;
-    };
-
-    // Victim policy: the lowest-priority (latest-arrived) running
-    // request that does not hold a full reservation. Older requests
-    // are deep in decode while the newest is typically still
-    // prefilling, so eviction lands on young prefills first — the
-    // ROADMAP's decode-priority preemption. One eviction is in flight
-    // at a time; a mid-step victim is evicted at its next unit
-    // boundary, a stalled one (including the requester itself)
-    // immediately. When every active run is resumed there is no
-    // victim: the requester waits for a retirement, which resumed
-    // runs — they can never stall — are guaranteed to reach.
-    const auto maybePreempt = [&] {
-        for (const ReqRun &r : runs)
-            if (r.preempt_pending)
-                return;
-        std::size_t victim = runs.size();
-        for (std::size_t j = 0; j < runs.size(); ++j) {
-            const ReqRun &r = runs[j];
-            if (r.admitted && !r.finished && !r.preempted &&
-                !r.resumed)
-                victim = j;
-        }
-        if (victim == runs.size())
-            return;
-        if (runs[victim].stalled)
-            evictRun(victim);
-        else
-            runs[victim].preempt_pending = true;
-    };
-
-    // Grow @p i's block table to cover @p tokens, or stall the
-    // request and go looking for a victim. A dry pool first sheds
-    // cold cache-only prefix blocks (nobody's table maps them) —
-    // cache capacity yields before anyone is preempted.
-    const auto ensureKv = [&](std::size_t i, std::uint64_t tokens) {
-        ReqRun &r = runs[i];
-        bool ok = pool.tryGrow(r.kv, tokens);
-        if (!ok && opt.kv_prefix_sharing) {
-            const std::uint64_t shortfall =
-                pool.blocksForTokens(tokens) - r.kv.blocks.size() -
-                pool.freeBlocks();
-            if (tree.dropCold(shortfall) > 0)
-                ok = pool.tryGrow(r.kv, tokens);
-        }
-        if (ok) {
-            if (r.stalled) {
-                r.stalled = false;
-                accountUnblock(r);
-            }
-            return true;
-        }
-        r.want_tokens = std::uint32_t(tokens);
-        if (!r.stalled) {
-            r.stalled = true;
-            r.blocked_since = eq.now();
-        }
-        maybePreempt();
-        return false;
-    };
-
-    evictRun = [&](std::size_t j) {
-        ReqRun &r = runs[j];
-        CAMLLM_ASSERT(r.admitted && !r.finished && !r.preempted);
-        if (!r.stalled)
-            r.blocked_since = eq.now();
-        r.stalled = false;
-        r.preempt_pending = false;
-        r.preempted = true;
-        // Everything the victim sheds must be restored before it can
-        // continue: warm context, prefilled prompt positions and the
-        // KV of every decoded token. Eviction is block-granular —
-        // each shed block either swaps out to flash (cost model and
-        // region quota permitting) or is marked for recompute.
-        const auto coverage = std::uint32_t(
-            r.spec.context + r.prefill_done + r.tokens_done);
-        const std::size_t n_blocks = r.kv.blocks.size();
-        CAMLLM_ASSERT(n_blocks == pool.blocksForTokens(coverage),
-                      "victim table covers %zu blocks, coverage %u "
-                      "tokens needs %llu",
-                      n_blocks, coverage,
-                      (unsigned long long)pool.blocksForTokens(
-                          coverage));
-        const std::uint32_t B = pool.blockTokens();
-
-        // Partial eviction: keep the head and shed only the coldest
-        // tail — enough blocks that actually free capacity (shared
-        // blocks held elsewhere free nothing) to cover the worst
-        // stalled run's *final* demand, not just the boundary it
-        // tripped on. Sizing for the final demand costs a few more
-        // tail blocks now but keeps the requester from stalling again
-        // a few tokens later and triggering an eviction cascade that
-        // would erase the partial keep's savings. When even the whole
-        // table cannot cover it, fall back to full eviction (the
-        // legacy policy, and the only choice with the knob off).
-        std::size_t keep = 0;
-        if (opt.kv_partial_evict && n_blocks > 0) {
-            std::uint64_t need = 1;
-            for (const ReqRun &q : runs)
-                if (q.stalled) {
-                    const std::uint64_t q_need = pool.blocksForTokens(
-                        finalKvTokens(q.spec));
-                    if (q_need > q.kv.blocks.size())
-                        need = std::max(need, q_need -
-                                                  q.kv.blocks.size());
-                }
-            const std::uint64_t free_now = pool.freeBlocks();
-            need = need > free_now ? need - free_now : 1;
-            std::uint64_t freeable = 0;
-            std::size_t k = n_blocks;
-            while (k > 0 && freeable < need) {
-                --k;
-                if (pool.refCount(r.kv.blocks[k]) == 1)
-                    ++freeable;
-            }
-            if (freeable >= need && k > 0) {
-                keep = k;
-                ++total_partial_evictions;
-            }
-        }
-
-        r.rebuild_from =
-            std::min(std::uint32_t(keep) * B, coverage);
-        r.rebuild_target = coverage;
-        r.recompute_pending = 0;
-        r.swap_mask.assign(n_blocks, 0);
-        for (std::size_t k = keep; k < n_blocks; ++k) {
-            const std::uint32_t lo = std::uint32_t(k) * B;
-            const std::uint32_t tok =
-                std::min<std::uint32_t>(B, coverage - lo);
-            bool swapped = false;
-            // Shared blocks stay resident for their other holders —
-            // swapping a copy out would duplicate live DRAM data, so
-            // they always rebuild by recompute here.
-            if (opt.kv_swap && tok > 0 &&
-                pool.refCount(r.kv.blocks[k]) == 1 &&
-                swapBeatsRecompute(tok)) {
-                const std::uint64_t full =
-                    std::uint64_t(tok) * token_kv_bytes;
-                const std::uint64_t sim =
-                    std::uint64_t(tok) * token_kv_sim_bytes;
-                if (fs.kvSwapOut(full, sim)) {
-                    swapped = true;
-                    r.swapped_out_tokens += tok;
-                    ++total_swap_out_blocks;
-                } else {
-                    ++total_swap_refused_blocks;
-                }
-            }
-            r.swap_mask[k] = swapped ? 1 : 0;
-            if (!swapped)
-                r.recompute_pending += tok;
-            pool.releaseBlock(r.kv.blocks[k]);
-        }
-        r.kv.blocks.resize(keep);
-        ++r.stats.preemptions;
-        ++total_preemptions;
-        CAMLLM_ASSERT(active > 0);
-        --active;
-        // Budget the survivors for the new concurrency BEFORE any
-        // woken waiter issues work (admit()/resume rebudget again if
-        // they change the count).
-        rebudget();
-        onFree();
-    };
-
-    // Tear a request down wherever it stands — queued, prefilling,
-    // decoding, stalled or evicted. An in-flight unit is abandoned
-    // through DecodeStream::abortUnit(): its completion port drops
-    // queued and future records, and the device work it already
-    // submitted keeps draining (and charging the channels) like a
-    // real cancelled request's in-flight I/O. KV blocks are released
-    // immediately and the freed capacity wakes waiters on this tick.
-    killRun = [&](std::size_t i, RequestOutcome why) {
-        ReqRun &r = runs[i];
-        if (r.finished)
-            return; // completed (or already torn down) first
-        r.finished = true;
-        r.stats.outcome = why;
-        r.stats.finish_tick = eq.now();
-        horizon = std::max(horizon, eq.now());
-        countOutcome(why);
-        noteRequestExit();
-        if (!r.admitted) {
-            // Still queued: holds no blocks and no stream. It may be
-            // the head of the admission queue — re-run admission so
-            // the queue can advance past it.
-            admit();
-            return;
-        }
-        const bool was_active = !r.preempted;
-        if (r.stalled) {
-            r.stalled = false;
-            accountUnblock(r);
-        }
-        r.preempted = false;
-        r.preempt_pending = false;
-        if (r.stream)
-            r.stream->abortUnit();
-        // Swapped-out copies die with their owner; a swap-in run
-        // still in flight already returned its quota when it was
-        // issued, and its completion is dropped on the finished run.
-        if (r.swapped_out_tokens > 0) {
-            fs.kvSwapFree(std::uint64_t(r.swapped_out_tokens) *
-                          token_kv_bytes);
-            r.swapped_out_tokens = 0;
-        }
-        pool.release(r.kv);
-        if (was_active) {
-            CAMLLM_ASSERT(active > 0);
-            --active;
-            rebudget();
-        }
-        onFree();
-    };
-
-    const auto onChunkDone = [&](std::size_t i, const TokenStats &s) {
-        ReqRun &r = runs[i];
-        r.sim_token_sum += eq.now() - r.token_start;
-        r.stats.prefill_time += s.token_time;
-        ++r.stats.prefill_chunks;
-        noteChunkRate(s, r.cur_chunk);
-        r.prefill_done += r.cur_chunk;
-        r.cur_chunk = 0;
-        if (r.prefill_done >= r.spec.prompt) {
-            // The last chunk's head projection emitted the request's
-            // first token.
-            r.stats.first_token = s;
-            r.stats.first_token_tick = eq.now();
-            r.first_emitted = true;
-        }
-        // Publish newly completed whole blocks of the shared prefix
-        // to the tree (cache ref on top of the table's — the block
-        // now survives this request's eviction or retirement).
-        // Blocks the tree already has insert as no-ops.
-        if (opt.kv_prefix_sharing && r.spec.prefix_id != 0 &&
-            r.spec.context == 0 && r.spec.prompt >= 2) {
-            const std::uint32_t B = pool.blockTokens();
-            const std::uint32_t shareable =
-                std::min(r.spec.prefix_tokens, r.spec.prompt - 1);
-            const std::size_t done_blocks = std::min<std::size_t>(
-                r.prefill_done / B, shareable / B);
-            for (std::size_t k = 0; k < done_blocks; ++k)
-                tree.insert(r.spec.prefix_id, k, r.kv.blocks[k]);
-        }
-        if (r.preempt_pending) {
-            evictRun(i);
-            return;
-        }
-        startNext(i); // next chunk, or the first decode step
-    };
-
-    const auto onRecomputeDone = [&](std::size_t i,
-                                     const TokenStats &s) {
-        ReqRun &r = runs[i];
-        r.sim_token_sum += eq.now() - r.token_start;
-        r.stats.recompute_time += s.token_time;
-        ++r.stats.recompute_chunks;
-        noteChunkRate(s, r.cur_chunk);
-        if (!r.first_emitted)
-            r.recompute_pre_ft += s.token_time;
-        r.rebuild_from += r.cur_chunk;
-        CAMLLM_ASSERT(r.recompute_pending >= r.cur_chunk);
-        r.recompute_pending -= r.cur_chunk;
-        total_recompute_tokens += r.cur_chunk;
-        r.cur_chunk = 0;
-        startNext(i); // next rebuild range, or where it left off
-    };
-
-    const auto onTokenDone = [&](std::size_t i, const TokenStats &s) {
-        ReqRun &r = runs[i];
-        r.sim_token_sum += eq.now() - r.token_start;
-        r.stats.total_token_time += s.token_time;
-        if (r.tokens_done == 0 && r.spec.prompt == 0) {
-            // Decode-only request: its first decode step emits the
-            // first token.
-            r.stats.first_token = s;
-            r.stats.first_token_tick = eq.now();
-            r.first_emitted = true;
-        } else {
-            tbt_ms.add(double(s.token_time) / double(kMs));
-        }
-        ++r.tokens_done;
-        if (r.tokens_done < r.spec.decode_tokens) {
-            if (r.preempt_pending) {
-                evictRun(i);
-                return;
-            }
-            startNext(i); // continuous: no batch barrier
-            return;
-        }
-        r.finished = true;
-        r.preempt_pending = false; // retiring beats a pending evict
-        r.stats.outcome = RequestOutcome::Completed;
-        r.stats.finish_tick = eq.now();
-        horizon = std::max(horizon, eq.now());
-        ++completed;
-        noteRequestExit();
-        CAMLLM_ASSERT(active > 0);
-        --active;
-        pool.release(r.kv);
-        rebudget(); // survivors' share first, as in evictRun
-        onFree();   // refill the slot / wake KV waiters, same tick
-    };
-
-    // The chunked policies' prefill token budget; under
-    // ProportionalSlowdown degradation an overloaded system shrinks
-    // everyone's chunks (floor 16) instead of shedding arrivals.
-    const auto chunkBudget = [&] {
-        std::uint32_t budget = opt.prefill_chunk;
-        if (degrade_scale < 1.0)
-            budget = std::max<std::uint32_t>(
-                16, std::uint32_t(double(budget) * degrade_scale));
-        return budget;
-    };
-
-    // Stream a run of swapped-out blocks back from flash: page reads
-    // tagged WorkClass::KvSwap, round-robin over the channels, on the
-    // scheduler's own flash client. The owner waits for the whole run
-    // to land (onSwapCompletion) before continuing its rebuild; the
-    // flash copies' quota returns here, at issue.
-    const auto issueSwapIn = [&](std::size_t i, std::uint32_t blocks,
-                                 std::uint32_t tokens) {
-        ReqRun &r = runs[i];
-        CAMLLM_ASSERT(r.swapped_out_tokens >= tokens);
-        r.swapped_out_tokens -= tokens;
-        fs.kvSwapFree(std::uint64_t(tokens) * token_kv_bytes);
-        const std::uint64_t op = ++swap_seq;
-        const std::uint64_t sim =
-            std::uint64_t(tokens) * token_kv_sim_bytes;
-        swap_inflight.emplace(
-            op, SwapIn{i, sim, blocks, tokens, eq.now()});
-        const std::uint32_t page =
-            config_.flash.geometry.page_bytes;
-        std::uint64_t left = sim;
-        while (left > 0) {
-            flash::ReadPageJob job;
-            job.client = swap_client;
-            job.cls = flash::WorkClass::KvSwap;
-            job.op_id = op;
-            job.bytes = std::uint32_t(
-                std::min<std::uint64_t>(page, left));
-            left -= job.bytes;
-            fs.submitRead(swap_rr_ch, job);
-            swap_rr_ch = (swap_rr_ch + 1) % fs.channelCount();
-        }
-    };
-
-    startNext = [&](std::size_t i) {
-        ReqRun &r = runs[i];
-        // A killed run's deferred start event (stagger/arrival) still
-        // fires — the EventQueue cannot cancel — and must be a no-op.
-        if (r.finished)
-            return;
-        // A pending eviction lands at the next unit boundary — which
-        // for a victim that never issued its first unit (deferred
-        // start via stagger or arrival) is right here.
-        if (r.preempt_pending) {
-            evictRun(i);
-            return;
-        }
-        // KV REBUILD: restore evicted coverage left to right. A range
-        // of swapped blocks streams back over the channels
-        // (WorkClass::KvSwap); everything else recomputes as prefill
-        // chunks under the policy's budget — no token is emitted
-        // (last_chunk = false) and the re-streamed weight traffic is
-        // tagged WorkClass::Recompute. Earlier positions are always
-        // resident before later ones rebuild, so attention inputs
-        // stay valid mid-rebuild. A resumed run holds a full
-        // reservation, so its ensureKv can never stall.
-        if (r.rebuild_from < r.rebuild_target) {
-            const std::uint32_t B = pool.blockTokens();
-            const std::size_t blk = B > 0 ? r.rebuild_from / B : 0;
-            if (blk < r.swap_mask.size() && r.swap_mask[blk]) {
-                // Maximal contiguous run of swapped blocks.
-                std::uint32_t blocks = 0, tokens = 0;
-                for (std::size_t k = blk;
-                     k < r.swap_mask.size() && r.swap_mask[k] &&
-                     std::uint32_t(k) * B < r.rebuild_target;
-                     ++k) {
-                    tokens += std::min<std::uint32_t>(
-                        B, r.rebuild_target - std::uint32_t(k) * B);
-                    ++blocks;
-                }
-                issueSwapIn(i, blocks, tokens);
-                return;
-            }
-            // Recompute up to the next swapped block (if any).
-            std::uint32_t limit = r.rebuild_target - r.rebuild_from;
-            for (std::size_t k = blk; k < r.swap_mask.size(); ++k)
-                if (r.swap_mask[k] &&
-                    std::uint32_t(k) * B > r.rebuild_from) {
-                    limit = std::uint32_t(k) * B - r.rebuild_from;
-                    break;
-                }
-            const std::uint32_t chunk =
-                opt.policy == SchedPolicy::ChunkedInterleave
-                    ? std::min(chunkBudget(), limit)
-                    : limit;
-            if (!ensureKv(i, std::uint64_t(r.rebuild_from) + chunk))
-                return;
-            r.cur_chunk = chunk;
-            r.cfg.seq_len = r.rebuild_from + chunk;
-            r.token_start = eq.now();
-            r.stream->setWorkClass(flash::WorkClass::Recompute);
-            r.stream->startPrefillChunk(
-                chunk, r.rebuild_from, /*last_chunk=*/false,
-                [&, i](const TokenStats &s) { onRecomputeDone(i, s); });
-            return;
-        }
-        if (r.prefill_done < r.spec.prompt) {
-            // PREFILL: the next chunk under the policy's token
-            // budget; FCFS takes the whole remaining prompt at once.
-            const std::uint32_t remaining =
-                r.spec.prompt - r.prefill_done;
-            const std::uint32_t chunk =
-                opt.policy == SchedPolicy::ChunkedInterleave
-                    ? std::min(chunkBudget(), remaining)
-                    : remaining;
-            const std::uint32_t kv_base =
-                r.spec.context + r.prefill_done;
-            if (!ensureKv(i, std::uint64_t(kv_base) + chunk))
-                return;
-            const bool last = chunk == remaining;
-            r.cur_chunk = chunk;
-            r.cfg.seq_len = kv_base + chunk;
-            r.token_start = eq.now();
-            r.stream->setWorkClass(std::nullopt);
-            r.stream->startPrefillChunk(
-                chunk, kv_base, last,
-                [&, i](const TokenStats &s) { onChunkDone(i, s); });
-            return;
-        }
-        // DECODE: the request's KV stream grows with every token.
-        const std::uint32_t seq =
-            r.spec.context + r.spec.prompt + r.tokens_done;
-        if (!ensureKv(i, std::uint64_t(seq) + 1)) // appends one token
-            return;
-        r.cfg.seq_len = seq;
-        r.token_start = eq.now();
-        r.stream->setWorkClass(std::nullopt);
-        r.stream->startToken(seq, 0, [&, i](const TokenStats &s) {
-            onTokenDone(i, s);
-        });
-    };
-
-    bool initial_wave = true;
-    admit = [&] {
-        std::vector<std::size_t> started;
-        while (active < opt.max_batch && next_admit < runs.size()) {
-            // Skip over queued requests already torn down (cancelled
-            // or timed out before they ever got a slot).
-            if (runs[next_admit].finished) {
-                ++next_admit;
-                continue;
-            }
-            const ServeRequest &spec = requests[next_admit];
-            if (spec.arrival > eq.now()) {
-                // Head of the queue is in the future: wake when it
-                // lands (arrivals are sorted, one wake suffices).
-                if (!wake_pending) {
-                    wake_pending = true;
-                    eq.schedule(spec.arrival, [&] {
-                        wake_pending = false;
-                        admit();
-                    });
-                }
-                break;
-            }
-            // Infeasible request: reject loudly at its admission
-            // point and keep serving everyone else.
-            if (infeasible[next_admit]) {
-                ReqRun &head = runs[next_admit];
-                warn("rejecting request %zu: KV demand (%llu tokens "
-                     "= %llu blocks of %u) exceeds the whole KV "
-                     "budget (%llu blocks)",
-                     next_admit,
-                     (unsigned long long)finalKvTokens(spec),
-                     (unsigned long long)pool.blocksForTokens(
-                         finalKvTokens(spec)),
-                     opt.kv_block_tokens,
-                     (unsigned long long)pool.totalBlocks());
-                head.finished = true;
-                head.stats.outcome =
-                    RequestOutcome::RejectedInfeasible;
-                head.stats.finish_tick = eq.now();
-                horizon = std::max(horizon, eq.now());
-                ++n_rejected;
-                noteRequestExit();
-                ++next_admit;
-                continue;
-            }
-            // SLO-aware degradation at the admission point. Under
-            // ShedNewest an arrival whose projected TTFT (queue of
-            // admitted prefill work ahead of it, at the measured
-            // per-token rate) already busts the target is turned
-            // away; under ProportionalSlowdown everyone is admitted
-            // but the prefill chunk budget shrinks with the overload.
-            if (opt.slo_ttft_ms > 0.0) {
-                const double projected = projectedTtftMs(spec);
-                if (opt.degrade == DegradePolicy::ShedNewest) {
-                    if (projected > opt.slo_ttft_ms) {
-                        ReqRun &head = runs[next_admit];
-                        warn("shedding request %zu: projected TTFT "
-                             "%.0f ms exceeds SLO %.0f ms",
-                             next_admit, projected, opt.slo_ttft_ms);
-                        head.finished = true;
-                        head.stats.outcome = RequestOutcome::ShedSlo;
-                        head.stats.finish_tick = eq.now();
-                        horizon = std::max(horizon, eq.now());
-                        ++n_shed;
-                        noteRequestExit();
-                        ++next_admit;
-                        continue;
-                    }
-                } else {
-                    degrade_scale =
-                        projected > opt.slo_ttft_ms
-                            ? std::max(0.25,
-                                       opt.slo_ttft_ms / projected)
-                            : 1.0;
-                }
-            }
-            // Admission requires the request's warm context KV to be
-            // resident; a dry pool queues the head FCFS (admission
-            // never preempts — only running requests' growth does)
-            // and retries on the next block free.
-            if (spec.context > 0 &&
-                !pool.tryGrow(runs[next_admit].kv, spec.context))
-                break;
-            const std::size_t i = next_admit++;
-            ReqRun &r = runs[i];
-            ++n_admitted;
-            DecodeStream::Env env = base;
-            env.cfg = &r.cfg;
-            r.stream = std::make_unique<DecodeStream>(env);
-            r.stream->setKvView(llm::KvView{opt.kv_block_tokens});
-            // Prefix sharing: map the tree's cached leading blocks
-            // into this request's table (refcounted — the tree keeps
-            // its own ref) and skip their prefill. Only whole blocks
-            // strictly inside the prompt qualify, so the last chunk
-            // still runs and emits the first token.
-            if (opt.kv_prefix_sharing && spec.prefix_id != 0 &&
-                spec.context == 0 && spec.prompt >= 2) {
-                const std::uint32_t B = pool.blockTokens();
-                const std::uint32_t shareable =
-                    std::min(spec.prefix_tokens, spec.prompt - 1);
-                const std::size_t hit = tree.match(
-                    spec.prefix_id, shareable / B, r.kv.blocks);
-                if (hit > 0) {
-                    r.prefill_done = std::uint32_t(hit) * B;
-                    r.stats.prefix_reused_tokens = r.prefill_done;
-                }
-            }
-            r.admitted = true;
-            ++active;
-            started.push_back(i);
-        }
-        if (started.empty())
-            return;
-        // Budget every stream for the new concurrency BEFORE any new
-        // stream issues work, so no first token prefetches with more
-        // than its share of the staging buffer.
-        rebudget();
-        for (std::size_t i : started) {
-            ReqRun &r = runs[i];
-            // Stagger only the initial wave (i * stagger ticks); the
-            // slot is held from admission, the stream just waits for
-            // its start slot. A delay of zero starts synchronously,
-            // which keeps the decode-only event sequence identical to
-            // its recorded golden stats.
-            Tick start = initial_wave ? Tick(i) * opt.admission_stagger
-                                      : eq.now();
-            if (start < r.spec.arrival)
-                start = r.spec.arrival;
-            r.stats.admit_tick = start;
-            if (start == eq.now())
-                startNext(i);
-            else
-                eq.schedule(start, [&, i] { startNext(i); });
-        }
-    };
-
-    // Grow the FCFS resume-queue head to its full final reservation.
-    // With the KV-reuse knobs on, the head can be blocked by capacity
-    // that is only conditionally useful: cold prefix-cache blocks
-    // nobody maps, and head blocks that *younger* preempted victims
-    // kept through partial eviction. The head is older and resumes
-    // first, so when nothing active remains to free blocks, those
-    // keeps are worthless — reclaim them (the younger victims fall
-    // back to a full rebuild by recompute) rather than deadlock. With
-    // every knob off this is exactly the legacy tryGrow.
-    const auto growForResume = [&](std::size_t i) {
-        ReqRun &r = runs[i];
-        const std::uint64_t tokens = finalKvTokens(r.spec);
-        if (pool.tryGrow(r.kv, tokens))
-            return true;
-        if (opt.kv_prefix_sharing) {
-            const std::uint64_t shortfall =
-                pool.blocksForTokens(tokens) - r.kv.blocks.size() -
-                pool.freeBlocks();
-            if (tree.dropCold(shortfall) > 0 &&
-                pool.tryGrow(r.kv, tokens))
-                return true;
-        }
-        if (opt.kv_partial_evict && active == 0) {
-            for (std::size_t j = runs.size(); j-- > i + 1;) {
-                ReqRun &q = runs[j];
-                if (!q.preempted || q.kv.blocks.empty())
-                    continue;
-                for (std::uint32_t b : q.kv.blocks)
-                    pool.releaseBlock(b);
-                q.kv.blocks.clear();
-                // The kept head tokens now rebuild like everything
-                // else; they were never swapped, so they recompute.
-                q.recompute_pending += q.rebuild_from;
-                q.rebuild_from = 0;
-                if (pool.tryGrow(r.kv, tokens))
-                    return true;
-            }
-        }
-        return false;
-    };
-
-    onFree = [&] {
-        // 1. Stalled running requests retry first (they hold blocks
-        //    and are mid-request — decode priority), arrival order.
-        //    startNext re-derives the pending unit and either issues
-        //    it or re-stalls.
-        for (std::size_t i = 0; i < runs.size(); ++i)
-            if (runs[i].stalled)
-                startNext(i);
-        // 2. Evicted requests resume strictly FCFS, each only with a
-        //    reservation for its full final KV demand — a resumed run
-        //    can never stall again, which keeps the schedule
-        //    livelock-free (and means a request is evicted at most
-        //    once).
-        std::vector<std::size_t> resumed_now;
-        for (std::size_t i = 0; i < runs.size(); ++i) {
-            ReqRun &r = runs[i];
-            if (!r.preempted)
-                continue;
-            if (!growForResume(i))
-                break;
-            r.preempted = false;
-            r.resumed = true;
-            accountUnblock(r);
-            ++active;
-            resumed_now.push_back(i);
-        }
-        if (!resumed_now.empty()) {
-            rebudget();
-            for (std::size_t i : resumed_now)
-                startNext(i);
-        }
-        // 3. New admissions last.
-        admit();
-    };
-
-    // Swap-in completions: count a whole block run restored only when
-    // its last page lands, bill the span as KV-blocked time (it is
-    // pool-management wait, not NPU service — so TTFT/TBT see it at
-    // the run's extrapolation factor, like any other KV stall), and
-    // let the owner continue its rebuild.
-    onSwapCompletion = [&](const flash::Completion &c) {
-        if (c.kind != flash::Completion::Kind::ReadData)
-            return;
-        auto it = swap_inflight.find(c.op_id);
-        CAMLLM_ASSERT(it != swap_inflight.end(),
-                      "swap completion for unknown op %llu",
-                      (unsigned long long)c.op_id);
-        SwapIn &sw = it->second;
-        CAMLLM_ASSERT(sw.remaining >= c.bytes);
-        sw.remaining -= c.bytes;
-        if (sw.remaining > 0)
-            return;
-        const SwapIn done = sw;
-        swap_inflight.erase(it);
-        ReqRun &r = runs[done.run];
-        // A run killed mid-swap-in already freed its quota at issue;
-        // the late data is simply dropped.
-        if (r.finished)
-            return;
-        r.rebuild_from += done.tokens;
-        CAMLLM_ASSERT(r.rebuild_from <= r.rebuild_target);
-        r.stats.swapped_in_blocks += done.blocks;
-        total_swap_in_blocks += done.blocks;
-        const Tick span = eq.now() - done.start;
-        r.stats.kv_blocked_time += span;
-        if (!r.first_emitted)
-            r.blocked_pre_ft += span;
-        startNext(done.run);
-    };
-
-    // Deadlines and user cancellations are pre-scheduled (the trace
-    // is known): a fired event on a finished run is a no-op. With
-    // neither armed and no faults, nothing extra enters the queue and
-    // the event sequence is bit-identical to the pre-resilience
-    // scheduler.
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-        if (opt.request_deadline > 0)
-            eq.schedule(requests[i].arrival + opt.request_deadline,
-                        [&, i] {
-                            killRun(i, RequestOutcome::TimedOut);
-                        });
-        if (requests[i].cancel_at > 0)
-            eq.schedule(requests[i].cancel_at, [&, i] {
-                killRun(i, RequestOutcome::Cancelled);
-            });
-    }
-
-    admit();
-    initial_wave = false;
-    eq.run();
-    CAMLLM_ASSERT(completed + n_shed + n_timeouts + n_cancelled +
-                          n_rejected ==
-                      runs.size(),
-                  "request accounting out of balance: %llu completed "
-                  "+ %u shed + %u timed out + %u cancelled + %u "
-                  "rejected != %zu requests",
-                  (unsigned long long)completed, n_shed, n_timeouts,
-                  n_cancelled, n_rejected, runs.size());
-    // Drain audit: every retire released its whole block table, the
-    // prefix cache returns its refs, every outstanding ref is gone
-    // (leakedBlocks alone would miss a leaked extra ref on a shared
-    // block), every swap-in landed and the flash KV region is empty.
-    tree.releaseAll();
-    CAMLLM_ASSERT(pool.leakedBlocks() == 0,
-                  "%llu KV blocks leaked at drain",
-                  (unsigned long long)pool.leakedBlocks());
-    CAMLLM_ASSERT(pool.leakedRefs() == 0,
-                  "%llu KV block refs leaked at drain",
-                  (unsigned long long)pool.leakedRefs());
-    CAMLLM_ASSERT(pool.allocCount() == pool.freeCount());
-    CAMLLM_ASSERT(swap_inflight.empty(),
-                  "%zu swap-in ops never completed",
-                  swap_inflight.size());
-    if (opt.kv_swap)
-        CAMLLM_ASSERT(fs.kvSwapLivePages() == 0,
-                      "%llu flash KV pages still live at drain",
-                      (unsigned long long)fs.kvSwapLivePages());
-
-    ServeStats out;
-    out.max_batch = opt.max_batch;
-    // The last request exit, not eq.now(): trailing no-op deadline
-    // and cancel events, fault-model timers and Low-priority swap-out
-    // writes can all drain after it.
-    out.sim_makespan = horizon;
-    out.sim_events = eq.executed();
-    out.requests.reserve(runs.size());
-
-    Tick sim_sum = 0, ext_sum = 0;
-    double rate_sum = 0.0, rate_sq_sum = 0.0;
-    std::uint64_t goodput_tokens = 0;
-    for (ReqRun &r : runs) {
-        ServeRequestStats &st = r.stats;
-        // A killed run completed only tokens_done of its decode
-        // budget (a completed run's tokens_done equals decode_tokens,
-        // so these expressions reduce to the historical ones).
-        const std::uint32_t steps = r.tokens_done;
-        st.tokens_emitted =
-            steps + ((st.prompt > 0 && r.first_emitted) ? 1u : 0u);
-        st.mean_token_time =
-            steps > 0 ? st.total_token_time / steps : 0;
-        st.tokens_per_s =
-            st.total_token_time > 0
-                ? double(steps) * double(kSec) /
-                      double(st.total_token_time)
-                : 0.0;
-        out.total_tokens += st.tokens_emitted;
-        if (st.outcome == RequestOutcome::Completed)
-            goodput_tokens += st.tokens_emitted;
-        sim_sum += r.sim_token_sum;
-        ext_sum += st.total_token_time + st.prefill_time +
-                   st.recompute_time;
-        rate_sum += st.tokens_per_s;
-        rate_sq_sum += st.tokens_per_s * st.tokens_per_s;
-        out.requests.push_back(std::move(st));
-    }
-
-    out.extrapolation_factor =
-        sim_sum > 0 ? double(ext_sum) / double(sim_sum) : 1.0;
-    const double real_makespan =
-        double(out.sim_makespan) * out.extrapolation_factor;
-    out.finite_run_tokens_per_s =
-        real_makespan > 0.0
-            ? double(out.total_tokens) * double(kSec) / real_makespan
-            : 0.0;
-    const double concurrency = double(
-        std::min<std::size_t>(opt.max_batch, out.requests.size()));
-    out.aggregate_tokens_per_s =
-        concurrency * rate_sum / double(out.requests.size());
-    out.avg_channel_util = fs.avgChannelUtilization(out.sim_makespan);
-    const std::size_t n = out.requests.size();
-    out.fairness_jain =
-        rate_sq_sum > 0.0
-            ? (rate_sum * rate_sum) / (double(n) * rate_sq_sum)
-            : 1.0;
-
-    // Latency SLOs in depth-extrapolated milliseconds. Service spans
-    // are the sum of per-step extrapolated times (contention stalls
-    // included in each step's span); queue-wait, KV-stall and
-    // eviction waits are sim time scaled by the run's measured
-    // extrapolation factor, and pre-first-token recompute is service
-    // time. With an unbounded pool the KV terms are all zero and the
-    // formula reduces to the pre-paging one exactly.
-    SampleSet ttft_ms;
-    for (std::size_t i = 0; i < out.requests.size(); ++i) {
-        ServeRequestStats &st = out.requests[i];
-        // A request torn down before its first token has no TTFT
-        // sample (and admit_tick may never have been set).
-        if (!runs[i].first_emitted) {
-            st.ttft_ms = 0.0;
-            st.mean_tbt_ms = 0.0;
-            continue;
-        }
-        const double wait =
-            (double(st.admit_tick - st.arrival) +
-             double(runs[i].blocked_pre_ft)) *
-            out.extrapolation_factor;
-        double ttft = wait + double(st.prefill_time) +
-                      double(runs[i].recompute_pre_ft);
-        if (st.prompt == 0)
-            ttft += double(st.first_token.token_time);
-        st.ttft_ms = ttft / double(kMs);
-        ttft_ms.add(st.ttft_ms);
-
-        Tick tbt_total = st.total_token_time;
-        std::uint32_t tbt_n = runs[i].tokens_done;
-        if (st.prompt == 0) {
-            tbt_total -= st.first_token.token_time;
-            tbt_n -= 1;
-        }
-        st.mean_tbt_ms =
-            tbt_n > 0
-                ? double(tbt_total) / double(tbt_n) / double(kMs)
-                : 0.0;
-    }
-    out.ttft = summarize(ttft_ms);
-    out.tbt = summarize(tbt_ms);
-
-    out.npu_array_util =
-        opt.npu_contention ? npu.arrayUtilization(out.sim_makespan)
-                           : 0.0;
-    out.prefill_channel_bytes =
-        fs.deliveredBytes(flash::WorkClass::Prefill);
-    out.decode_channel_bytes =
-        fs.deliveredBytes(flash::WorkClass::Decode);
-    out.recompute_channel_bytes =
-        fs.deliveredBytes(flash::WorkClass::Recompute);
-
-    out.preemptions = total_preemptions;
-    out.recompute_tokens = total_recompute_tokens;
-    out.partial_evictions = total_partial_evictions;
-    out.swap_out_blocks = total_swap_out_blocks;
-    out.swap_in_blocks = total_swap_in_blocks;
-    out.swap_refused_blocks = total_swap_refused_blocks;
-    out.kv_swap_channel_bytes =
-        opt.kv_swap ? fs.kvSwapChannelBytes() : 0;
-    out.prefix_hit_blocks = tree.hitBlocks();
-    out.prefix_hit_tokens =
-        tree.hitBlocks() * std::uint64_t(pool.blockTokens());
-    out.prefix_inserted_blocks = tree.insertedBlocks();
-    out.prefix_dropped_blocks = tree.droppedBlocks();
-    out.kv_blocks_total = pool.bounded() ? pool.totalBlocks() : 0;
-    out.kv_blocks_high_water = pool.highWaterBlocks();
-    out.kv_block_allocs = pool.allocCount();
-    out.kv_block_frees = pool.freeCount();
-
-    out.admitted = n_admitted;
-    out.completed = std::uint32_t(completed);
-    out.shed_slo = n_shed;
-    out.timeouts = n_timeouts;
-    out.cancelled = n_cancelled;
-    out.rejected_infeasible = n_rejected;
-    out.goodput_tokens_per_s =
-        real_makespan > 0.0
-            ? double(goodput_tokens) * double(kSec) / real_makespan
-            : 0.0;
-    out.read_retries = fs.retryReads();
-    out.retry_channel_bytes = fs.retryBytes();
-    out.remap_bytes = fs.remapBytes();
-    out.channels_lost = fs.channelsLost();
-    out.reissued_jobs = fs.reissuedJobs();
-    out.refresh_pages = fs.refreshPages();
-    out.refresh_channel_bytes = fs.refreshChannelBytes();
-    out.refresh_deferred_beats = fs.refreshDeferredBeats();
-    out.wear_spread_pe = fs.wearSpreadPe();
-    out.wear_mean_pe = fs.wearMeanPe();
-    out.wear_max_pe = fs.wearMaxPe();
-    return out;
+    return ServeRun(config_, model_, *plan_cache_, requests, opt).run();
 }
 
 } // namespace camllm::core

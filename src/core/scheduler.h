@@ -65,6 +65,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/stats.h"
 #include "core/arrivals.h"
 #include "core/engine.h"
 #include "core/presets.h"
@@ -90,7 +91,8 @@ enum class DegradePolicy
 
     /** Admit everyone but shrink the effective prefill chunk in
      *  proportion to the overload, trading everyone's TTFT a little
-     *  instead of rejecting anyone (ChunkedInterleave only). */
+     *  instead of rejecting anyone. ChunkedInterleave only: serve()
+     *  rejects it under DecodeFirstFcfs, which never chunks. */
     ProportionalSlowdown
 };
 
@@ -129,8 +131,9 @@ struct SchedOptions
      * admission, preemption and eviction never trigger, and the event
      * sequence replays the pre-paging scheduler bit-identically
      * (enforced by tests). A bounded budget requires
-     * kv_block_tokens >= 1 and must fit every request's final KV
-     * demand on its own (fatal otherwise); under pressure the
+     * kv_block_tokens >= 1; a request whose final KV demand exceeds
+     * the whole budget is rejected at admission
+     * (ServeStats::rejected_infeasible). Under pressure the
      * scheduler queues admissions and preempts (see serve()).
      */
     std::uint64_t kv_budget_bytes = 0;
@@ -295,6 +298,9 @@ struct LatencySummary
     double mean_ms = 0.0;
     double max_ms = 0.0;
 };
+
+/** Reduce a set of millisecond samples to its LatencySummary. */
+LatencySummary summarize(const SampleSet &samples);
 
 /** Aggregate results of one serve() run. */
 struct ServeStats

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -453,6 +454,78 @@ TEST(FaultServing, ProportionalSlowdownAdmitsEveryoneWithSmallerChunks)
     // Overload shrank the chunk budget: the same prompts took more,
     // smaller chunks.
     EXPECT_GT(chunks, clean_chunks);
+}
+
+// The chunk-shrinking degrade policy has nothing to shrink under
+// whole-prompt FCFS prefill; the contradiction fails at serve() entry
+// instead of being silently ignored.
+TEST(FaultServing, ProportionalSlowdownUnderFcfsIsRejectedUpFront)
+{
+    const Scheduler sched(core::presetS(), llm::opt6_7b());
+    SchedOptions opt;
+    opt.policy = SchedPolicy::DecodeFirstFcfs;
+    opt.slo_ttft_ms = 0.5;
+    opt.degrade = DegradePolicy::ProportionalSlowdown;
+    EXPECT_DEATH(sched.serve(smallTrace(), opt),
+                 "ProportionalSlowdown.*DecodeFirstFcfs");
+}
+
+// One trace that leaves through every exit at once. With two slots,
+// requests 0 (short) and 1 (long) are admitted cold at t = 0; request
+// 4 gives up while queued; request 0's completion frees a slot, where
+// request 2's KV demand is rejected as infeasible and request 3 is
+// shed by the (now live) SLO projection; request 1 then blows the
+// deadline, which falls between the two running requests' finishes.
+TEST(FaultServing, OneServeEndsInAllFiveOutcomes)
+{
+    const llm::ModelConfig model = llm::opt6_7b();
+    const Scheduler sched(core::presetS(), model);
+    std::vector<ServeRequest> reqs = {
+        {32, 0, 1, 0},       // completes
+        {256, 0, 8, 0},      // times out mid-run
+        {0, 1u << 20, 1, 0}, // KV demand exceeds the whole pool
+        {128, 0, 2, 0},      // shed by the SLO guard
+        {128, 0, 2, 0},      // cancelled while queued
+    };
+    reqs[4].cancel_at = 1;
+    SchedOptions opt = chunkedOpts();
+    opt.kv_block_tokens = 16;
+    opt.kv_budget_bytes =
+        256 * 16 * std::uint64_t(model.kvDim()) * model.n_layers;
+    opt.slo_ttft_ms = 0.001;
+    opt.degrade = DegradePolicy::ShedNewest;
+
+    // Deadline events never perturb the schedule, so the run without
+    // one places a deadline between the two running requests' exits.
+    const ServeStats clean = sched.serve(reqs, opt);
+    ASSERT_EQ(clean.requests[0].outcome, RequestOutcome::Completed);
+    ASSERT_EQ(clean.requests[1].outcome, RequestOutcome::Completed);
+    ASSERT_LT(clean.requests[0].finish_tick,
+              clean.requests[1].finish_tick);
+    opt.request_deadline = (clean.requests[0].finish_tick +
+                            clean.requests[1].finish_tick) /
+                           2;
+
+    const ServeStats st = sched.serve(reqs, opt);
+    EXPECT_EQ(st.requests[0].outcome, RequestOutcome::Completed);
+    EXPECT_EQ(st.requests[1].outcome, RequestOutcome::TimedOut);
+    EXPECT_EQ(st.requests[2].outcome,
+              RequestOutcome::RejectedInfeasible);
+    EXPECT_EQ(st.requests[3].outcome, RequestOutcome::ShedSlo);
+    EXPECT_EQ(st.requests[4].outcome, RequestOutcome::Cancelled);
+    EXPECT_EQ(st.completed, 1u);
+    EXPECT_EQ(st.timeouts, 1u);
+    EXPECT_EQ(st.rejected_infeasible, 1u);
+    EXPECT_EQ(st.shed_slo, 1u);
+    EXPECT_EQ(st.cancelled, 1u);
+    EXPECT_EQ(st.admitted, 2u);
+    expectBalanced(st, reqs.size());
+    EXPECT_EQ(st.requests[1].finish_tick, opt.request_deadline);
+    EXPECT_EQ(st.requests[4].finish_tick, 1u);
+    Tick last_exit = 0;
+    for (const auto &r : st.requests)
+        last_exit = std::max(last_exit, r.finish_tick);
+    EXPECT_EQ(st.sim_makespan, last_exit);
 }
 
 // Identical fault specs must produce identical timelines no matter

@@ -243,6 +243,49 @@ BM_EventQueueArrivalGaps(benchmark::State &state)
 }
 BENCHMARK(BM_EventQueueArrivalGaps);
 
+/**
+ * Lockstep load, the die pattern: kOwners owners (presetL's 512 dies)
+ * that each reschedule themselves at one shared delay, so every
+ * pending tick holds one same-tick run of kOwners events.
+ */
+struct LockstepWorkload
+{
+    static constexpr int kOwners = 512;
+    static constexpr int kRounds = 200;
+    static constexpr std::uint64_t kTotalEvents =
+        std::uint64_t(kOwners) * kRounds;
+    static constexpr Tick kDelay = 37;
+
+    EventQueue eq;
+
+    void tick(int remaining)
+    {
+        if (remaining > 1)
+            eq.scheduleIn(kDelay, [this, remaining] { tick(remaining - 1); });
+    }
+
+    void run()
+    {
+        eq.reserve(kOwners);
+        for (int i = 0; i < kOwners; ++i)
+            eq.schedule(0, [this] { tick(kRounds); });
+        eq.run();
+    }
+};
+
+void
+BM_EventQueueLockstep(benchmark::State &state)
+{
+    for (auto _ : state) {
+        LockstepWorkload w;
+        w.run();
+        benchmark::DoNotOptimize(w.eq.executed());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            LockstepWorkload::kTotalEvents);
+}
+BENCHMARK(BM_EventQueueLockstep);
+
 /** Best-of-@p reps wall time of one call to @p fn, in seconds. */
 template <typename Fn>
 double
@@ -298,6 +341,18 @@ emitJson(double bench_wall_s)
         j.add("event_queue.gap_events", GapWorkload::kTotalEvents);
         j.add("event_queue.gap_events_per_s",
               double(GapWorkload::kTotalEvents) / s);
+    }
+    {
+        // Lockstep shape: every event joins its tick's same-tick run.
+        const double s = bestSeconds(5, [] {
+            LockstepWorkload w;
+            w.run();
+            if (w.eq.executed() != LockstepWorkload::kTotalEvents)
+                std::fprintf(stderr, "lockstep workload event mismatch\n");
+            benchmark::DoNotOptimize(w.eq.executed());
+        });
+        j.add("event_queue.lockstep_events_per_s",
+              double(LockstepWorkload::kTotalEvents) / s);
     }
     {
         // Fleet-scale events/sec: N independent serving replicas on

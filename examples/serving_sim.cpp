@@ -251,8 +251,9 @@ main()
                 double(faulty.remap_bytes) / 1e6);
     std::printf("%-26s %14u %14u\n", "channels lost",
                 sound.channels_lost, faulty.channels_lost);
-    std::printf("%-26s %14u %14u\n", "reads re-issued",
-                sound.reissued_jobs, faulty.reissued_jobs);
+    std::printf("%-26s %14llu %14llu\n", "reads re-issued",
+                (unsigned long long)sound.reissued_jobs,
+                (unsigned long long)faulty.reissued_jobs);
     std::printf("\nlosing a channel plus 5%%-UCP retries cost %.0f ms "
                 "of p95 TTFT and %.1f MB of retry+remap traffic; "
                 "%u request(s) shed, %u timed out.\n",

@@ -978,7 +978,7 @@ class ServeRun
                 if (opt_.degrade == DegradePolicy::ShedNewest) {
                     if (projected > opt_.slo_ttft_ms) {
                         warn("shedding request %zu: projected TTFT "
-                             "%.0f ms exceeds SLO %.0f ms",
+                             "%.3g ms exceeds SLO %.3g ms",
                              next_admit_, projected, opt_.slo_ttft_ms);
                         retire(next_admit_++, RequestOutcome::ShedSlo);
                         continue;

@@ -75,18 +75,7 @@ EventQueue::EventQueue(std::size_t window_ticks)
 EventQueue::~EventQueue()
 {
     // Destroy any still-pending callbacks so captured state is freed.
-    for (Bucket &b : buckets_)
-        for (Event *ev = b.head; ev != nullptr; ev = ev->next)
-            if (ev->destroy)
-                ev->destroy(ev->storage);
-    for (Wheel &w : wheels_)
-        for (Bucket &b : w.slots)
-            for (Event *ev = b.head; ev != nullptr; ev = ev->next)
-                if (ev->destroy)
-                    ev->destroy(ev->storage);
-    for (FarEvent &fe : heap_)
-        if (fe.ev->destroy)
-            fe.ev->destroy(fe.ev->storage);
+    releaseAll();
 }
 
 void
@@ -123,7 +112,60 @@ EventQueue::acquire(Tick when)
     ev->when = when;
     ev->seq = next_seq_++;
     ev->next = nullptr;
+    ev->last = nullptr;
     return ev;
+}
+
+void
+EventQueue::link(Event *ev)
+{
+    OpenRun &o = open_[std::size_t(ev->when) & (kOpenSlots - 1)];
+    if (o.head != nullptr && o.when == ev->when) {
+        // Nothing else has been numbered at this tick since the run's
+        // newest member, so the new event directly follows it.
+        Event *head = o.head;
+        if (head->last == nullptr) {
+            ev->next = ev;
+        } else {
+            ev->next = head->last->next;
+            head->last->next = ev;
+        }
+        head->last = ev;
+        ++members_;
+        return;
+    }
+    enqueue(ev);
+    o.when = ev->when;
+    o.head = ev;
+}
+
+EventQueue::Event *
+EventQueue::detachMembers(Event *head)
+{
+    Event *last = head->last;
+    if (last == nullptr)
+        return nullptr;
+    Event *oldest = last->next;
+    last->next = nullptr;
+    head->last = nullptr;
+    return oldest;
+}
+
+std::size_t
+EventQueue::heapPending() const
+{
+    std::size_t n = heap_.size();
+    for (const FarEvent &fe : heap_) {
+        const Event *last = fe.ev->last;
+        if (last == nullptr)
+            continue;
+        const Event *m = last;
+        do {
+            ++n;
+            m = m->next;
+        } while (m != last);
+    }
+    return n;
 }
 
 void
@@ -325,6 +367,7 @@ EventQueue::arm(Ticker &t, Tick period, std::uint64_t silent)
     t.when_ = now_ + period;
     t.period_ = period;
     t.seq_ = next_seq_++;
+    closeRunAt(t.when_);
     t.silent_ = silent;
     t.passes_ = 0;
     t.next_ = nullptr;
@@ -401,6 +444,20 @@ EventQueue::earliestLane()
 bool
 EventQueue::runNext(Tick limit)
 {
+    if (run_rest_ != nullptr) {
+        // The rest of the run in progress precedes every other pending
+        // event: nothing else was numbered at this tick between its
+        // members, and any later number at this tick is after them.
+        if (now_ > limit)
+            return false;
+        Event *ev = run_rest_;
+        run_rest_ = ev->next;
+        --members_;
+        ++executed_;
+        ev->invoke(ev->storage);
+        release(ev);
+        return true;
+    }
     const bool calendar = calendarPending() > 0;
     Tick t = 0;         // calendar head tick, or a lower bound on it
     bool exact = false; // t is the committed calendar head tick
@@ -433,6 +490,7 @@ EventQueue::runNext(Tick limit)
             ++tk->passes_;
             tk->when_ += tk->period_;
             tk->seq_ = next_seq_++;
+            closeRunAt(tk->when_);
             if (lane.tail != tk) {
                 lane.head = tk->next_;
                 tk->next_ = nullptr;
@@ -460,6 +518,12 @@ EventQueue::runNext(Tick limit)
     Event *ev = popAt(t);
     now_ = t;
     ++executed_;
+    // A popped head's run is closed: a schedule at this tick from here
+    // on starts a new entry, numbered after every member.
+    OpenRun &o = open_[std::size_t(t) & (kOpenSlots - 1)];
+    if (o.head == ev)
+        o.head = nullptr;
+    run_rest_ = detachMembers(ev);
     ev->invoke(ev->storage);
     release(ev);
     return true;
@@ -492,34 +556,50 @@ EventQueue::runUntil(Tick limit)
 }
 
 void
-EventQueue::reset()
+EventQueue::releaseAll()
 {
-    for (Bucket &b : buckets_) {
-        for (Event *ev = b.head; ev != nullptr;) {
+    const auto releaseChain = [this](Event *ev) {
+        while (ev != nullptr) {
             Event *next = ev->next;
             release(ev);
             ev = next;
         }
+    };
+    const auto releaseEntries = [&](Bucket &b) {
+        for (Event *ev = b.head; ev != nullptr;) {
+            Event *next = ev->next;
+            releaseChain(detachMembers(ev));
+            release(ev);
+            ev = next;
+        }
         b.head = b.tail = nullptr;
-    }
+    };
+    releaseChain(run_rest_);
+    run_rest_ = nullptr;
+    for (Bucket &b : buckets_)
+        releaseEntries(b);
     std::fill(occ0_.begin(), occ0_.end(), 0);
     cal_count_ = 0;
     for (Wheel &w : wheels_) {
-        for (Bucket &b : w.slots) {
-            for (Event *ev = b.head; ev != nullptr;) {
-                Event *next = ev->next;
-                release(ev);
-                ev = next;
-            }
-            b.head = b.tail = nullptr;
-        }
+        for (Bucket &b : w.slots)
+            releaseEntries(b);
         w.occ.fill(0);
         w.count = 0;
     }
     wheel_count_ = 0;
-    for (FarEvent &fe : heap_)
+    for (FarEvent &fe : heap_) {
+        releaseChain(detachMembers(fe.ev));
         release(fe.ev);
+    }
     heap_.clear();
+    open_.fill(OpenRun{});
+    members_ = 0;
+}
+
+void
+EventQueue::reset()
+{
+    releaseAll();
     for (Lane &lane : lanes_) {
         for (Ticker *t = lane.head; t != nullptr;) {
             Ticker *next = t->next_;

@@ -18,6 +18,17 @@
  * apart. Only events beyond the combined wheel span (window x 1024^4
  * ticks, ~2 weeks at the default window) fall back to a binary heap.
  *
+ * Adjacent same-tick events share one calendar entry. An event
+ * scheduled for a tick whose newest pending entry is still *open*
+ * joins that entry as a member of its same-tick run: no calendar
+ * insert, cascade or peek of its own. A run stays open until its head
+ * is popped or anything else takes a sequence number for its tick (a
+ * newer entry, a ticker's arm() or silent pass), so every sequence
+ * number between two members at that tick belongs to a member as
+ * well, and running a run's members back to back right after its
+ * head is exactly (tick, sequence number) order. Members keep their
+ * own sequence numbers and count as events everywhere.
+ *
  * Periodic boundaries that usually do nothing can instead run as
  * *tickers* (EventQueue::Ticker): a client-owned record that passes a
  * known number of boundaries silently, each at exactly the (tick,
@@ -66,7 +77,11 @@ namespace camllm {
  *  - levels are disjoint in time: every level-k event precedes every
  *    level-(k+1) event (they differ from cal_base_ at a higher
  *    digit), so the earliest pending event is always in the lowest
- *    non-empty level, found by an occupancy-bitmap scan.
+ *    non-empty level, found by an occupancy-bitmap scan;
+ *  - the levels and the heap hold entries; a run's members ride with
+ *    their head through every cascade and migration, and open_[when %
+ *    kOpenSlots] names the only entry at its tick that may still take
+ *    members (none once a ticker numbers a boundary at that tick).
  */
 class EventQueue
 {
@@ -98,7 +113,7 @@ class EventQueue
     std::size_t
     pending() const
     {
-        return calendarPending() + tickers_;
+        return calendarPending() + members_ + tickers_;
     }
 
     bool empty() const { return pending() == 0; }
@@ -144,7 +159,7 @@ class EventQueue
                 delete f;
             };
         }
-        enqueue(ev);
+        link(ev);
     }
 
     /** Schedule @p fn @p delay ticks from now. */
@@ -250,9 +265,9 @@ class EventQueue
     std::size_t windowTicks() const { return buckets_.size(); }
 
     /** Events currently parked in the far-future heap (beyond the
-     *  combined wheel span); exposed so tests can pin when the heap
-     *  fallback engages. */
-    std::size_t heapPending() const { return heap_.size(); }
+     *  combined wheel span), run members included; exposed so tests
+     *  can pin when the heap fallback engages. */
+    std::size_t heapPending() const;
 
     static constexpr std::size_t kDefaultWindow = 1024;
     static constexpr std::size_t kMinWindow = 16;
@@ -273,7 +288,11 @@ class EventQueue
     {
         Tick when = 0;
         std::uint64_t seq = 0;
-        Event *next = nullptr; ///< bucket FIFO / free-list link
+        Event *next = nullptr; ///< bucket FIFO / member ring / free list
+        /** Newest member of the same-tick run this event heads, or
+         *  null; members form a ring through `next`, so last->next is
+         *  the oldest. */
+        Event *last = nullptr;
         void (*invoke)(void *) = nullptr;
         void (*destroy)(void *) = nullptr;
         alignas(std::max_align_t) unsigned char storage[kInlineBytes];
@@ -316,6 +335,17 @@ class EventQueue
         Ticker *tail;
     };
 
+    /** Open-run table slot: the head of the open run at `when`. */
+    struct OpenRun
+    {
+        Tick when = 0;
+        Event *head = nullptr;
+    };
+
+    /** Direct-mapped open-run table size; a collision only starts a
+     *  new run. */
+    static constexpr std::size_t kOpenSlots = 1024;
+
     /** Far-future reference; heap-ordered by (when, seq). */
     struct FarEvent
     {
@@ -333,7 +363,10 @@ class EventQueue
     void release(Event *ev);
     Event *allocate();
     void addChunk();
-    /** Link a fully-constructed event into its level or the heap. */
+    /** Add a newly scheduled event: as a member of the open run at
+     *  its tick if there is one, else as a new (open) entry. */
+    void link(Event *ev);
+    /** Link a fully-constructed entry into its level or the heap. */
     void enqueue(Event *ev);
     static void appendToBucket(Bucket &b, Event *ev);
     /**
@@ -357,11 +390,29 @@ class EventQueue
      *  @p t, a tick peekEarliestTick() just returned and committed. */
     Event *popAt(Tick t);
 
+    /** Calendar entries (run heads and lone events) across all
+     *  levels; run members are counted in members_. */
     std::size_t
     calendarPending() const
     {
         return cal_count_ + wheel_count_ + heap_.size();
     }
+
+    /** Close the open run at @p t, if any: a ticker boundary is about
+     *  to take a sequence number for that tick. */
+    void
+    closeRunAt(Tick t)
+    {
+        OpenRun &o = open_[std::size_t(t) & (kOpenSlots - 1)];
+        if (o.when == t)
+            o.head = nullptr;
+    }
+
+    /** Unlink @p head's members; @return the oldest, the rest
+     *  following through `next` (null-terminated). */
+    static Event *detachMembers(Event *head);
+    /** Release every pending calendar event and empty every level. */
+    void releaseAll();
 
     /** Pass silent ticker boundaries and run the first event (ticker
      *  callback or calendar event) with tick <= @p limit.
@@ -382,6 +433,10 @@ class EventQueue
     std::size_t wheel_count_ = 0; ///< events across all upper wheels
 
     std::vector<FarEvent> heap_;
+
+    std::array<OpenRun, kOpenSlots> open_{};
+    Event *run_rest_ = nullptr; ///< members of the run in progress
+    std::size_t members_ = 0;   ///< pending run members, in progress too
 
     std::vector<Lane> lanes_; ///< one per distinct armed period
     std::size_t tickers_ = 0; ///< armed tickers across all lanes

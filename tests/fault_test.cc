@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/arrivals.h"
@@ -506,7 +507,11 @@ TEST(FaultServing, OneServeEndsInAllFiveOutcomes)
                             clean.requests[1].finish_tick) /
                            2;
 
+    testing::internal::CaptureStderr();
     const ServeStats st = sched.serve(reqs, opt);
+    const std::string log = testing::internal::GetCapturedStderr();
+    // A sub-millisecond SLO reads as itself in the shed warning.
+    EXPECT_NE(log.find("exceeds SLO 0.001 ms"), std::string::npos) << log;
     EXPECT_EQ(st.requests[0].outcome, RequestOutcome::Completed);
     EXPECT_EQ(st.requests[1].outcome, RequestOutcome::TimedOut);
     EXPECT_EQ(st.requests[2].outcome,

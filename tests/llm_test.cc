@@ -289,12 +289,14 @@ TEST(OpGraph, MidChunkWritesKvWithoutHead)
     const std::uint32_t act_b = q.act_bits / 8;
     const std::uint64_t kvp = m.kvProjDim();
     for (const Op &op : g.ops) {
-        if (op.kind == OpKind::KvAppend)
+        if (op.kind == OpKind::KvAppend) {
             EXPECT_EQ(op.kv_bytes,
                       std::uint64_t(chunk) * 2ull * kvp * act_b);
-        if (op.kind == OpKind::KvLoadCompute)
+        }
+        if (op.kind == OpKind::KvLoadCompute) {
             EXPECT_EQ(op.kv_bytes,
                       std::uint64_t(kv_base + chunk) * kvp * act_b);
+        }
     }
     // Last chunk at the same base gains exactly final_norm + lm_head.
     const DecodeGraph last =

@@ -7,7 +7,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -773,6 +776,333 @@ TEST(EventQueueTickerDeath, ArmingAnArmedTickerPanics)
     eq.arm(t, 10, 0);
     EXPECT_DEATH(eq.arm(t, 10, 0), "armed twice");
     eq.disarm(t);
+}
+
+// --- same-tick runs: differential test against a naive queue ---------------
+
+/**
+ * The kernel's contract written out naively: one ordered map keyed by
+ * (tick, sequence number) holding events and armed tickers alike. A
+ * ticker entry passes silently (re-entering one period later with a
+ * fresh number) until its silent count runs out, then fires.
+ */
+class RefQueue
+{
+  public:
+    class Ticker
+    {
+      public:
+        using Fn = void (*)(void *ctx);
+
+        Ticker(Fn fn, void *ctx) : fn_(fn), ctx_(ctx) {}
+        bool armed() const { return armed_; }
+
+      private:
+        friend class RefQueue;
+
+        Fn fn_;
+        void *ctx_;
+        Tick period_ = 0;
+        std::uint64_t silent_ = 0;
+        bool armed_ = false;
+    };
+
+    Tick now() const { return now_; }
+    std::uint64_t executed() const { return executed_; }
+    std::size_t pending() const { return q_.size(); }
+    bool empty() const { return q_.empty(); }
+
+    template <typename F>
+    void
+    schedule(Tick when, F &&fn)
+    {
+        ASSERT_GE(when, now_);
+        q_.emplace(Key{when, seq_++},
+                   Entry{std::function<void()>(std::forward<F>(fn)),
+                         nullptr});
+    }
+
+    void
+    arm(Ticker &t, Tick period, std::uint64_t silent)
+    {
+        t.armed_ = true;
+        t.period_ = period;
+        t.silent_ = silent;
+        q_.emplace(Key{now_ + period, seq_++}, Entry{{}, &t});
+    }
+
+    void fireNext(Ticker &t) { t.silent_ = 0; }
+
+    void
+    disarm(Ticker &t)
+    {
+        for (auto it = q_.begin(); it != q_.end(); ++it)
+            if (it->second.ticker == &t) {
+                q_.erase(it);
+                break;
+            }
+        t.armed_ = false;
+    }
+
+    bool step() { return runNext(kTickMax); }
+
+    Tick
+    runUntil(Tick limit)
+    {
+        while (runNext(limit)) {
+        }
+        now_ = std::max(now_, limit);
+        return now_;
+    }
+
+    void
+    reset()
+    {
+        for (auto &[key, e] : q_)
+            if (e.ticker != nullptr)
+                e.ticker->armed_ = false;
+        q_.clear();
+        now_ = 0;
+        seq_ = 0;
+        executed_ = 0;
+    }
+
+  private:
+    using Key = std::pair<Tick, std::uint64_t>;
+
+    struct Entry
+    {
+        std::function<void()> fn;
+        Ticker *ticker;
+    };
+
+    /** Pass silent boundaries up to the first callback with tick <=
+     *  @p limit and run it; @return false if none was run. */
+    bool
+    runNext(Tick limit)
+    {
+        for (;;) {
+            if (q_.empty() || q_.begin()->first.first > limit)
+                return false;
+            auto node = q_.extract(q_.begin());
+            now_ = node.key().first;
+            ++executed_;
+            Ticker *t = node.mapped().ticker;
+            if (t == nullptr) {
+                node.mapped().fn();
+                return true;
+            }
+            if (t->silent_ == 0) {
+                t->armed_ = false;
+                t->fn_(t->ctx_);
+                return true;
+            }
+            --t->silent_;
+            q_.emplace(Key{now_ + t->period_, seq_++}, Entry{{}, t});
+        }
+    }
+
+    std::map<Key, Entry> q_;
+    Tick now_ = 0;
+    std::uint64_t seq_ = 0;
+    std::uint64_t executed_ = 0;
+};
+
+/** One observation: an event or ticker callback (id >= 0) or the
+ *  driver after one of its calls (id < 0). */
+struct Observed
+{
+    int id;
+    Tick now;
+    std::uint64_t executed;
+    std::size_t pending;
+    long live; ///< event callbacks alive (their captures not yet freed)
+
+    bool operator==(const Observed &) const = default;
+};
+
+/**
+ * A seeded mix aimed at same-tick runs, driving queue type Q: bursts
+ * of same-tick schedules (zero-delay ones from inside running
+ * events too), ticks in the window, the wheels and the far heap,
+ * tickers whose periods match the burst delays so their arm(),
+ * passes, fireNext() and disarm() land on ticks with open runs, and a
+ * driver that alternates step(), runUntil() limits between runs and
+ * an occasional reset(). The queue is destroyed with events pending.
+ */
+template <typename Q>
+class RunScenario
+{
+  public:
+    explicit RunScenario(std::uint64_t seed) : rng_(seed), q_(makeQueue())
+    {
+        for (int i = 0; i < 3; ++i)
+            tickers_.push_back(std::make_unique<TickerCtx>(this, i));
+    }
+
+    ~RunScenario() { destroyQueue(); }
+
+    std::vector<Observed>
+    run()
+    {
+        burst();
+        burst();
+        for (int op = 0; op < 80 && !q_->empty(); ++op) {
+            const std::uint64_t r = rng_.below(20);
+            if (r < 8) {
+                q_->step();
+            } else if (r < 17) {
+                q_->runUntil(q_->now() + rng_.below(12));
+            } else if (r < 19) {
+                q_->runUntil(q_->now() + (Tick(1) << rng_.below(46)));
+            } else {
+                q_->reset();
+                burst();
+            }
+            observe(-1);
+            if (rng_.chance(0.2))
+                burst();
+        }
+        return log_;
+    }
+
+    /** Disarm the tickers and destroy the queue with its events still
+     *  pending; its destructor must free every pending callback. */
+    void
+    destroyQueue()
+    {
+        for (auto &t : tickers_)
+            if (t->ticker.armed())
+                q_->disarm(t->ticker);
+        q_.reset();
+    }
+
+    long live() const { return token_.use_count() - 1; }
+
+  private:
+    struct TickerCtx
+    {
+        TickerCtx(RunScenario *s, int i)
+            : scenario(s), id(100000 + i),
+              ticker([](void *c) { static_cast<TickerCtx *>(c)->fire(); },
+                     this)
+        {
+        }
+
+        void
+        fire()
+        {
+            scenario->observe(id);
+            scenario->tickerActs();
+        }
+
+        RunScenario *scenario;
+        int id;
+        typename Q::Ticker ticker;
+    };
+
+    static std::unique_ptr<Q>
+    makeQueue()
+    {
+        if constexpr (std::is_same_v<Q, EventQueue>)
+            return std::make_unique<Q>(16); // wheels from 16 ticks out
+        else
+            return std::make_unique<Q>();
+    }
+
+    /** A delay that often matches a ticker period (2, 4 or 8). */
+    Tick
+    delay()
+    {
+        const std::uint64_t r = rng_.below(16);
+        if (r < 4)
+            return 0;
+        if (r < 12)
+            return Tick(1) << rng_.below(4);
+        if (r < 14)
+            return Tick(16) + rng_.below(Tick(1) << 20); // the wheels
+        if (r < 15)
+            return Tick(1) << (20 + rng_.below(20));
+        return (Tick(1) << 44) + rng_.below(1 << 10); // the far heap
+    }
+
+    /** A run of same-tick schedules at now() + delay(). */
+    void
+    burst()
+    {
+        const Tick when = q_->now() + delay();
+        const std::uint64_t n = 1 + rng_.below(12);
+        for (std::uint64_t i = 0; i < n && budget_ > 0; ++i)
+            spawn(when);
+    }
+
+    void
+    spawn(Tick when)
+    {
+        --budget_;
+        const int id = next_id_++;
+        q_->schedule(when, [this, id, token = token_] { act(id); });
+    }
+
+    void
+    act(int id)
+    {
+        observe(id);
+        if (rng_.chance(0.25))
+            spawn(q_->now()); // zero delay, from a running event
+        if (rng_.chance(0.2))
+            burst();
+        tickerActs();
+    }
+
+    void
+    tickerActs()
+    {
+        TickerCtx &t = *tickers_[rng_.below(tickers_.size())];
+        const std::uint64_t r = rng_.below(10);
+        if (!t.ticker.armed()) {
+            if (r < 4)
+                q_->arm(t.ticker, Tick(2) << rng_.below(3), rng_.below(6));
+        } else if (r < 2) {
+            q_->fireNext(t.ticker);
+        } else if (r < 3) {
+            q_->disarm(t.ticker);
+        }
+    }
+
+    void
+    observe(int id)
+    {
+        log_.push_back({id, q_->now(), q_->executed(), q_->pending(),
+                        live()});
+    }
+
+    Rng rng_;
+    std::unique_ptr<Q> q_;
+    std::vector<std::unique_ptr<TickerCtx>> tickers_;
+    std::vector<Observed> log_;
+    std::shared_ptr<int> token_ = std::make_shared<int>(0);
+    int budget_ = 400;
+    int next_id_ = 0;
+};
+
+TEST(EventQueueRuns, MatchesNaiveReferenceExactly)
+{
+    for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+        RunScenario<EventQueue> real(seed);
+        RunScenario<RefQueue> ref(seed);
+        const std::vector<Observed> got = real.run();
+        const std::vector<Observed> want = ref.run();
+        for (std::size_t i = 0; i < std::min(got.size(), want.size()); ++i)
+            ASSERT_EQ(got[i], want[i])
+                << "seed " << seed << ", observation " << i << ": id "
+                << got[i].id << " vs " << want[i].id << " at " << got[i].now
+                << " vs " << want[i].now;
+        ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+        EXPECT_EQ(real.live(), ref.live()) << "seed " << seed;
+        real.destroyQueue();
+        EXPECT_EQ(real.live(), 0) << "seed " << seed;
+    }
 }
 
 } // namespace

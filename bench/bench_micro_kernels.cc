@@ -11,6 +11,9 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <string>
+#include <thread>
 
 #include "common/rng.h"
 #include "core/arrivals.h"
@@ -31,16 +34,29 @@ using namespace camllm;
 
 namespace {
 
+/**
+ * Schedule @p n events over 997 ticks from the clock, then drain. The
+ * queue is built and reserved by the caller, outside the timed span;
+ * run() leaves it empty, so one warm queue serves every repetition.
+ */
+void
+scheduleRun(EventQueue &eq, int n, int &sink)
+{
+    const Tick base = eq.now();
+    for (int i = 0; i < n; ++i)
+        eq.schedule(base + Tick(i % 997), [&sink] { ++sink; });
+    eq.run();
+}
+
 void
 BM_EventQueueScheduleRun(benchmark::State &state)
 {
     const int n = int(state.range(0));
+    EventQueue eq;
+    eq.reserve(std::size_t(n));
+    int sink = 0;
     for (auto _ : state) {
-        EventQueue eq;
-        int sink = 0;
-        for (int i = 0; i < n; ++i)
-            eq.schedule(Tick(i % 997), [&] { ++sink; });
-        eq.run();
+        scheduleRun(eq, n, sink);
         benchmark::DoNotOptimize(sink);
     }
     state.SetItemsProcessed(state.iterations() * n);
@@ -192,9 +208,11 @@ BENCHMARK(BM_TinyTransformerForward);
  * Sparse serving-shaped calendar load: request arrivals separated by
  * multi-second Poisson idle gaps (mean 2 simulated seconds, i.e. ~2e9
  * ticks of nothing), each arrival firing a chain of densely packed
- * events (~500-tick exponential gaps). A flat bucketed calendar walks
- * every empty bucket across the idle gaps; the hierarchical wheel
- * cascades through them in O(levels).
+ * events (~500-tick exponential gaps). A calendar that walks empty
+ * ticks pays for the idle gaps; the calendar heap only compares tick
+ * values, so it pays instead for holding every arrival, all scheduled
+ * up front (kArrivals entries). Runs on a caller-owned queue (reserved
+ * for kArrivals, outside any timed span) from its clock.
  */
 struct GapWorkload
 {
@@ -203,7 +221,7 @@ struct GapWorkload
     static constexpr std::uint64_t kTotalEvents =
         std::uint64_t(kArrivals) * (1 + kChainLen);
 
-    EventQueue eq;
+    EventQueue &eq;
     Rng rng{42};
 
     Tick expGap(double mean)
@@ -218,26 +236,27 @@ struct GapWorkload
                           [this, remaining] { link(remaining - 1); });
     }
 
-    void run()
+    /** @return the events executed. */
+    std::uint64_t run()
     {
-        eq.reserve(kArrivals);
-        Tick t = 0;
+        const std::uint64_t before = eq.executed();
+        Tick t = eq.now();
         for (int i = 0; i < kArrivals; ++i) {
             t += expGap(2.0e9);
             eq.schedule(t, [this] { link(kChainLen); });
         }
         eq.run();
+        return eq.executed() - before;
     }
 };
 
 void
 BM_EventQueueArrivalGaps(benchmark::State &state)
 {
-    for (auto _ : state) {
-        GapWorkload w;
-        w.run();
-        benchmark::DoNotOptimize(w.eq.executed());
-    }
+    EventQueue eq;
+    eq.reserve(GapWorkload::kArrivals);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(GapWorkload{eq}.run());
     state.SetItemsProcessed(state.iterations() *
                             GapWorkload::kTotalEvents);
 }
@@ -246,7 +265,8 @@ BENCHMARK(BM_EventQueueArrivalGaps);
 /**
  * Lockstep load, the die pattern: kOwners owners (presetL's 512 dies)
  * that each reschedule themselves at one shared delay, so every
- * pending tick holds one same-tick run of kOwners events.
+ * pending tick holds one same-tick run of kOwners events. Runs on a
+ * caller-owned queue (reserved for kOwners) from its clock.
  */
 struct LockstepWorkload
 {
@@ -256,7 +276,7 @@ struct LockstepWorkload
         std::uint64_t(kOwners) * kRounds;
     static constexpr Tick kDelay = 37;
 
-    EventQueue eq;
+    EventQueue &eq;
 
     void tick(int remaining)
     {
@@ -264,27 +284,43 @@ struct LockstepWorkload
             eq.scheduleIn(kDelay, [this, remaining] { tick(remaining - 1); });
     }
 
-    void run()
+    /** @return the events executed. */
+    std::uint64_t run()
     {
-        eq.reserve(kOwners);
+        const std::uint64_t before = eq.executed();
         for (int i = 0; i < kOwners; ++i)
-            eq.schedule(0, [this] { tick(kRounds); });
+            eq.schedule(eq.now(), [this] { tick(kRounds); });
         eq.run();
+        return eq.executed() - before;
     }
 };
 
 void
 BM_EventQueueLockstep(benchmark::State &state)
 {
-    for (auto _ : state) {
-        LockstepWorkload w;
-        w.run();
-        benchmark::DoNotOptimize(w.eq.executed());
-    }
+    EventQueue eq;
+    eq.reserve(LockstepWorkload::kOwners);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(LockstepWorkload{eq}.run());
     state.SetItemsProcessed(state.iterations() *
                             LockstepWorkload::kTotalEvents);
 }
 BENCHMARK(BM_EventQueueLockstep);
+
+/** The first "model name" in /proc/cpuinfo, or "unknown". */
+std::string
+cpuModel()
+{
+    std::ifstream in("/proc/cpuinfo");
+    for (std::string line; std::getline(in, line);) {
+        if (line.rfind("model name", 0) != 0)
+            continue;
+        const std::size_t v = line.find_first_not_of(" \t:", 10);
+        if (v != std::string::npos)
+            return line.substr(v);
+    }
+    return "unknown";
+}
 
 /** Best-of-@p reps wall time of one call to @p fn, in seconds. */
 template <typename Fn>
@@ -313,30 +349,31 @@ emitJson(double bench_wall_s)
     bench::BenchJson j;
     j.addString("bench", "bench_micro_kernels");
     j.add("wall_clock_s", bench_wall_s);
+    j.addString("host.cpu", cpuModel());
+    j.addString("host.nproc",
+                std::to_string(std::thread::hardware_concurrency()));
+    j.addString("host.compiler", __VERSION__);
 
+    // One warm queue for the event-kernel keys, built and reserved
+    // outside every timed span; each workload leaves it empty.
+    EventQueue eq;
     {
         constexpr int kEvents = 100000;
+        eq.reserve(kEvents);
+        int sink = 0;
         const double s = bestSeconds(5, [&] {
-            EventQueue eq;
-            eq.reserve(kEvents);
-            int sink = 0;
-            for (int i = 0; i < kEvents; ++i)
-                eq.schedule(Tick(i % 997), [&sink] { ++sink; });
-            eq.run();
+            scheduleRun(eq, kEvents, sink);
             benchmark::DoNotOptimize(sink);
         });
         j.add("event_queue.events", std::uint64_t(kEvents));
         j.add("event_queue.events_per_s", double(kEvents) / s);
     }
     {
-        // Arrival-gap shape: the hierarchical calendar's headline
-        // case (multi-second idle gaps between dense event chains).
-        const double s = bestSeconds(3, [] {
-            GapWorkload w;
-            w.run();
-            if (w.eq.executed() != GapWorkload::kTotalEvents)
+        // Arrival-gap shape: multi-second idle gaps between dense
+        // event chains.
+        const double s = bestSeconds(3, [&] {
+            if (GapWorkload{eq}.run() != GapWorkload::kTotalEvents)
                 std::fprintf(stderr, "gap workload event mismatch\n");
-            benchmark::DoNotOptimize(w.eq.executed());
         });
         j.add("event_queue.gap_events", GapWorkload::kTotalEvents);
         j.add("event_queue.gap_events_per_s",
@@ -344,12 +381,9 @@ emitJson(double bench_wall_s)
     }
     {
         // Lockstep shape: every event joins its tick's same-tick run.
-        const double s = bestSeconds(5, [] {
-            LockstepWorkload w;
-            w.run();
-            if (w.eq.executed() != LockstepWorkload::kTotalEvents)
+        const double s = bestSeconds(5, [&] {
+            if (LockstepWorkload{eq}.run() != LockstepWorkload::kTotalEvents)
                 std::fprintf(stderr, "lockstep workload event mismatch\n");
-            benchmark::DoNotOptimize(w.eq.executed());
         });
         j.add("event_queue.lockstep_events_per_s",
               double(LockstepWorkload::kTotalEvents) / s);

@@ -38,7 +38,13 @@ class BenchJson
     void
     addString(const std::string &key, const std::string &value)
     {
-        entries_.emplace_back(key, "\"" + value + "\"");
+        std::string quoted = "\"";
+        for (const char c : value) {
+            if (c == '"' || c == '\\')
+                quoted += '\\';
+            quoted += c;
+        }
+        entries_.emplace_back(key, quoted + "\"");
     }
 
     /** @return true when the file was written. */

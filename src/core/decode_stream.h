@@ -127,8 +127,6 @@ class DecodeStream
      */
     void abortUnit();
 
-    bool aborted() const { return aborted_; }
-
     /**
      * Cap on this stream's in-flight NPU read bytes (the prefetch
      * window). Defaults to the full NPU weight buffer; the scheduler
@@ -159,8 +157,6 @@ class DecodeStream
     {
         class_override_ = cls;
     }
-
-    flash::ClientId clientId() const { return client_; }
 
   private:
     /** Per-op scheduling state. */

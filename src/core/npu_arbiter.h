@@ -72,14 +72,6 @@ class NpuArbiter
         return array_.utilization(elapsed);
     }
 
-    double
-    sfuUtilization(Tick elapsed) const
-    {
-        return sfu_.utilization(elapsed);
-    }
-
-    std::uint64_t arrayBusyTicks() const { return array_.busyTicks(); }
-
   private:
     void
     acquire(npu::UnitOccupancy &unit, Tick busy,

@@ -140,8 +140,7 @@ class ServeRun
         // here runs when the knob is off, so the no-swap event
         // sequence is untouched.
         if (opt.kv_swap) {
-            fs_.enableKvSwap(quant_.weightBytes(model.totalParams()),
-                             opt.kv_swap_flash_bytes);
+            fs_.enableKvSwap(quant_.weightBytes(model.totalParams()));
             swap_client_ = fs_.connect(
                 [this](const flash::Completion &c) {
                     onSwapCompletion(c);

@@ -158,15 +158,12 @@ struct SchedOptions
      * MAC estimate before the first sample), swap costs the block's
      * full-depth bytes twice (out now, back on resume) across the
      * alive channel buses at their current occupancy. Swapped blocks
-     * program a reserved flash KV region (wear-counted) and stream
+     * program a flash KV region (all the free flash left after the
+     * resident weights; wear-counted) and stream
      * back under WorkClass::KvSwap on resume; a full region falls
      * back to recompute. Requires a bounded pool.
      */
     bool kv_swap = false;
-
-    /** Flash bytes reserved for swapped KV (kv_swap only; 0 = all
-     *  the free flash left after the resident weights). */
-    std::uint64_t kv_swap_flash_bytes = 0;
 
     /**
      * Partial (vLLM-style) eviction: release only the victim's

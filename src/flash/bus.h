@@ -112,8 +112,6 @@ class ChannelBus
             eq_.fireNext(ticker_);
     }
 
-    double rateScale() const { return rate_scale_; }
-
     /** Busy time so far, slices passed silently included. */
     BusyTracker
     busy() const
@@ -130,7 +128,6 @@ class ChannelBus
         return n == 0 ? bytes_low_ : bytes_low_ + n * low_.front().slice;
     }
     std::uint64_t grants() const { return grants_ + silentSlices(); }
-    bool idle() const { return !busy_now_; }
 
     /** Time to move @p bytes including the per-grant overhead. */
     Tick

@@ -67,8 +67,6 @@ class CompletionRouter
         port.disconnected = true;
     }
 
-    std::size_t clientCount() const { return ports_.size(); }
-
     /** Queue @p c for its client and schedule a drain at this tick. */
     void
     deliver(const Completion &c)
@@ -87,9 +85,6 @@ class CompletionRouter
         const ClientId id = c.client;
         eq_.scheduleIn(0, [this, id] { drain(id); });
     }
-
-    /** Completion records delivered so far (all clients). */
-    std::uint64_t delivered() const { return delivered_; }
 
     /** Records swallowed on behalf of disconnected clients. */
     std::uint64_t dropped() const { return dropped_; }
@@ -123,14 +118,12 @@ class CompletionRouter
                 break;
             const Completion c = ports_[id].pending.front();
             ports_[id].pending.pop_front();
-            ++delivered_;
             ports_[id].handler(c);
         }
     }
 
     EventQueue &eq_;
     std::vector<Port> ports_;
-    std::uint64_t delivered_ = 0;
     std::uint64_t dropped_ = 0;
 };
 

@@ -90,13 +90,13 @@ FaultModel::climbLadder(double ucp0, double ber0)
             // Shifted read levels lower the raw BER; re-derive the
             // rung's failure probability from the codeword tail,
             // which collapses super-geometrically for strong codes.
-            ber *= spec_.ladder.retry_fail_decay;
+            ber *= RetryLadder::kRetryFailDecay;
             p = std::min(ecc::pageUcp(ber, spec_.ecc_correctable_bits,
                                       spec_.ecc_codeword_bytes,
                                       page_bytes_),
                          0.9);
         } else {
-            p *= spec_.ladder.retry_fail_decay;
+            p *= RetryLadder::kRetryFailDecay;
         }
     }
     return r;
@@ -159,7 +159,7 @@ FaultModel::senseTime(Tick t_read, std::uint32_t attempt) const
     if (attempt == 0)
         return scale == 1.0 ? t_read : Tick(double(t_read) * scale);
     const double esc =
-        std::pow(spec_.ladder.sense_escalation, double(attempt));
+        std::pow(RetryLadder::kSenseEscalation, double(attempt));
     return Tick(double(t_read) * esc * scale);
 }
 

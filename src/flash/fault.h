@@ -52,15 +52,16 @@ struct RetryLadder
      *  always succeeds. */
     std::uint32_t max_retries = 4;
 
-    /** tR multiplier per rung: attempt k senses for t_read * esc^k. */
-    double sense_escalation = 1.5;
+    /** tR multiplier per rung: attempt k senses for
+     *  t_read * kSenseEscalation^k. */
+    static constexpr double kSenseEscalation = 1.5;
 
     /** Each rung's shifted read level is likelier to decode: rung k
-     *  fails with ucp * decay^k. With an ECC strength armed the decay
-     *  applies to the raw BER instead and each rung's failure
-     *  probability is re-derived from the codeword tail, which falls
-     *  much faster than geometrically for strong codes. */
-    double retry_fail_decay = 0.25;
+     *  fails with ucp * kRetryFailDecay^k. With an ECC strength armed
+     *  the decay applies to the raw BER instead and each rung's
+     *  failure probability is re-derived from the codeword tail,
+     *  which falls much faster than geometrically for strong codes. */
+    static constexpr double kRetryFailDecay = 0.25;
 };
 
 /** One scheduled channel-degradation event. */
@@ -100,7 +101,7 @@ struct FaultSpec
     std::uint64_t model_weight_bytes = 0;
 
     /** Bus-grant granularity of remap rebuild traffic. */
-    std::uint32_t remap_chunk_bytes = 1u << 20;
+    static constexpr std::uint32_t kRemapChunkBytes = 1u << 20;
 
     // --- reliability co-design (defaults arm nothing new) --------------
     /**

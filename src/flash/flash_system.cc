@@ -212,10 +212,9 @@ FlashSystem::takeChannelOffline(std::uint32_t ch)
         const std::uint64_t pages = placement_->remapChannel(ch);
         std::uint64_t bytes = pages * params_.geometry.page_bytes;
         remap_bytes_ += bytes;
-        const std::uint32_t chunk =
-            fault_model_->spec().remap_chunk_bytes;
         while (bytes > 0) {
-            const std::uint64_t b = std::min<std::uint64_t>(chunk, bytes);
+            const std::uint64_t b =
+                std::min<std::uint64_t>(FaultSpec::kRemapChunkBytes, bytes);
             bytes -= b;
             const std::uint32_t c = route(ch);
             channels_[c]->bus().request(BusPriority::Low, b, [] {},
@@ -322,8 +321,7 @@ FlashSystem::onRefreshCompletion(const Completion &c)
 }
 
 void
-FlashSystem::enableKvSwap(std::uint64_t model_weight_bytes,
-                          std::uint64_t reserve_bytes)
+FlashSystem::enableKvSwap(std::uint64_t model_weight_bytes)
 {
     CAMLLM_ASSERT(!kv_swap_enabled_, "KV swap armed twice");
     if (!placement_) {
@@ -339,12 +337,7 @@ FlashSystem::enableKvSwap(std::uint64_t model_weight_bytes,
             placement_->seedStriped(pages);
         }
     }
-    const std::uint64_t page = params_.geometry.page_bytes;
-    std::uint64_t pages = reserve_bytes == 0
-                              ? placement_->freePages()
-                              : (reserve_bytes + page - 1) / page;
-    pages = std::min(pages, placement_->freePages());
-    placement_->reserveKvRegion(pages);
+    placement_->reserveKvRegion(placement_->freePages());
     kv_swap_enabled_ = true;
 }
 

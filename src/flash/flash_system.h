@@ -122,17 +122,9 @@ class FlashSystem
     /** Jobs stranded on dead channels and re-issued on survivors. */
     std::uint64_t reissuedJobs() const { return reissued_jobs_; }
 
-    const FaultModel *faultModel() const { return fault_model_.get(); }
-
     // --- reliability co-design -----------------------------------------
-    /** Placement / wear map (null unless the armed spec needed one). */
-    const WeightPlacement *placement() const { return placement_.get(); }
-
     /** Pages the retention scrubber has re-written. */
     std::uint64_t refreshPages() const { return refresh_pages_; }
-
-    /** Scrub re-write bytes charged to the channel buses. */
-    std::uint64_t refreshWriteBytes() const { return refresh_write_bytes_; }
 
     /** Scrub beats skipped because the previous scrub op was still in
      *  flight — nonzero means the configured rate exceeds what the
@@ -165,18 +157,15 @@ class FlashSystem
 
     // --- KV swap ---------------------------------------------------------
     /**
-     * Arm KV swap-to-flash: reserve @p reserve_bytes of free flash
-     * capacity (0 = everything left) as the KV region. When no fault
-     * spec built a placement map, one is created here and seeded with
-     * the resident weight image (@p model_weight_bytes, so the region
-     * honestly competes with the weights for capacity). Call once,
+     * Arm KV swap-to-flash: reserve all the free flash left after the
+     * resident weights as the KV region. When no fault spec built a
+     * placement map, one is created here and seeded with the resident
+     * weight image (@p model_weight_bytes, so the region honestly
+     * competes with the weights for capacity). Call once,
      * before the simulation starts; never armed means every swap path
      * below is dead code and the event sequence is untouched.
      */
-    void enableKvSwap(std::uint64_t model_weight_bytes,
-                      std::uint64_t reserve_bytes);
-
-    bool kvSwapEnabled() const { return kv_swap_enabled_; }
+    void enableKvSwap(std::uint64_t model_weight_bytes);
 
     /**
      * Swap one evicted KV block out: program @p full_bytes of KV
@@ -192,9 +181,6 @@ class FlashSystem
 
     /** Pages currently held by swapped-out KV. */
     std::uint64_t kvSwapLivePages() const;
-
-    /** Swap-out write bytes charged to the channel buses. */
-    std::uint64_t kvSwapWriteBytes() const { return kv_swap_write_bytes_; }
 
     /** Total swap bus traffic: swap-in payload plus swap-out writes. */
     std::uint64_t

@@ -82,9 +82,6 @@ class UnitOccupancy
     /** Tick at which all granted work drains. */
     Tick freeAt() const { return free_at_; }
 
-    /** Total granted busy ticks. */
-    std::uint64_t busyTicks() const { return busy_ticks_; }
-
     /** Fraction of [0, elapsed) the unit was reserved. */
     double
     utilization(Tick elapsed) const

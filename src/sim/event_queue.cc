@@ -1,74 +1,13 @@
 #include "event_queue.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "common/logging.h"
 
 namespace camllm {
 
-bool
-EventQueue::farLater(const FarEvent &a, const FarEvent &b)
+EventQueue::EventQueue()
 {
-    if (a.when != b.when)
-        return a.when > b.when;
-    return a.seq > b.seq;
-}
-
-namespace {
-
-/** Smallest power of two >= @p n within [lo, hi]. */
-std::size_t
-roundUpPow2Clamped(std::size_t n, std::size_t lo, std::size_t hi)
-{
-    n = std::max(n, lo);
-    n = std::min(n, hi);
-    std::size_t p = lo;
-    while (p < n)
-        p <<= 1;
-    return p;
-}
-
-/**
- * Ring-scan an occupancy bitmap: visit @p count slots of the
- * @p size-slot ring (size a power of two) starting at @p start and
- * return the offset of the first occupied one, or @p count if none.
- */
-std::size_t
-scanOccupied(const std::uint64_t *occ, std::size_t size,
-             std::size_t start, std::size_t count)
-{
-    std::size_t off = 0;
-    while (off < count) {
-        const std::size_t idx = (start + off) & (size - 1);
-        const unsigned bit = idx & 63;
-        // Stop each stride at the word edge and at the ring edge so
-        // shifted-out low bits and wrapped slots are never misread.
-        const std::size_t stride = std::min(
-            count - off, std::min<std::size_t>(64 - bit, size - idx));
-        const std::uint64_t word = occ[idx >> 6] >> bit;
-        if (word != 0) {
-            const std::size_t tz = std::size_t(std::countr_zero(word));
-            if (tz < stride)
-                return off + tz;
-        }
-        off += stride;
-    }
-    return count;
-}
-
-} // namespace
-
-EventQueue::EventQueue(std::size_t window_ticks)
-    : buckets_(roundUpPow2Clamped(window_ticks, kMinWindow, kMaxWindow))
-{
-    bucket_mask_ = Tick(buckets_.size() - 1);
-    occ0_.assign((buckets_.size() + 63) / 64, 0);
-    const unsigned window_log2 =
-        unsigned(std::countr_zero(buckets_.size()));
-    for (unsigned k = 0; k < kUpperLevels; ++k)
-        wheels_[k].shift = window_log2 + 10 * k; // kUpperSlots == 2^10
-    heap_.reserve(buckets_.size());
     addChunk();
 }
 
@@ -134,7 +73,8 @@ EventQueue::link(Event *ev)
         ++members_;
         return;
     }
-    enqueue(ev);
+    heap_.push_back(Entry{ev->when, ev->seq, ev});
+    std::push_heap(heap_.begin(), heap_.end(), later);
     o.when = ev->when;
     o.head = ev;
 }
@@ -151,67 +91,6 @@ EventQueue::detachMembers(Event *head)
     return oldest;
 }
 
-std::size_t
-EventQueue::heapPending() const
-{
-    std::size_t n = heap_.size();
-    for (const FarEvent &fe : heap_) {
-        const Event *last = fe.ev->last;
-        if (last == nullptr)
-            continue;
-        const Event *m = last;
-        do {
-            ++n;
-            m = m->next;
-        } while (m != last);
-    }
-    return n;
-}
-
-void
-EventQueue::appendToBucket(Bucket &b, Event *ev)
-{
-    ev->next = nullptr;
-    if (b.tail == nullptr)
-        b.head = ev;
-    else
-        b.tail->next = ev;
-    b.tail = ev;
-}
-
-void
-EventQueue::enqueue(Event *ev)
-{
-    const Tick when = ev->when;
-    // Level = highest digit differing from the anchor (see header).
-    // The anchor never crosses a block boundary without draining the
-    // covering slot first, so for a fixed tick this level is monotone
-    // non-increasing over time — a newer event can never land below
-    // an older same-tick one, which keeps same-tick FIFO order exact.
-    if ((when >> wheels_[0].shift) == (cal_base_ >> wheels_[0].shift)) {
-        const std::size_t idx = std::size_t(when & bucket_mask_);
-        appendToBucket(buckets_[idx], ev);
-        occ0_[idx >> 6] |= std::uint64_t(1) << (idx & 63);
-        ++cal_count_;
-        if (when < cal_scan_)
-            cal_scan_ = when;
-        return;
-    }
-    for (Wheel &w : wheels_) {
-        if ((when >> (w.shift + 10)) == (cal_base_ >> (w.shift + 10))) {
-            const std::size_t idx =
-                std::size_t(when >> w.shift) & (kUpperSlots - 1);
-            appendToBucket(w.slots[idx], ev);
-            w.occ[idx >> 6] |= std::uint64_t(1) << (idx & 63);
-            ++w.count;
-            ++wheel_count_;
-            return;
-        }
-    }
-    heap_.push_back(FarEvent{when, ev->seq, ev});
-    std::push_heap(heap_.begin(), heap_.end(), farLater);
-}
-
 void
 EventQueue::release(Event *ev)
 {
@@ -223,119 +102,9 @@ EventQueue::release(Event *ev)
 }
 
 void
-EventQueue::migrateFromHeap()
-{
-    CAMLLM_ASSERT(cal_count_ == 0 && wheel_count_ == 0 &&
-                  !heap_.empty());
-    const Tick top = heap_.front().when;
-    CAMLLM_ASSERT(top >= now_);
-    cal_base_ = top & ~bucket_mask_;
-    cal_scan_ = top;
-    // Heap pops arrive in (when, seq) order, so FIFO appends keep the
-    // same-tick sequence ordering intact. Everything inside the new
-    // top-wheel block moves now, so the heap afterwards holds only
-    // events in later blocks — which keeps wheels-before-heap a
-    // total order in time.
-    const unsigned top_shift = wheels_[kUpperLevels - 1].shift + 10;
-    while (!heap_.empty() && (heap_.front().when >> top_shift) ==
-                                 (cal_base_ >> top_shift)) {
-        std::pop_heap(heap_.begin(), heap_.end(), farLater);
-        Event *ev = heap_.back().ev;
-        heap_.pop_back();
-        enqueue(ev);
-    }
-}
-
-Tick
-EventQueue::peekEarliestTick(Tick commit_limit)
-{
-    for (;;) {
-        if (cal_count_ > 0) {
-            const Tick from = std::max(cal_scan_, now_);
-            const Tick end = cal_base_ + buckets_.size();
-            CAMLLM_ASSERT(from < end);
-            const std::size_t off =
-                scanOccupied(occ0_.data(), buckets_.size(),
-                             std::size_t(from & bucket_mask_),
-                             std::size_t(end - from));
-            CAMLLM_ASSERT(off < std::size_t(end - from),
-                          "non-empty calendar scanned empty");
-            cal_scan_ = from + Tick(off);
-            return cal_scan_;
-        }
-        if (wheel_count_ > 0) {
-            // The lowest non-empty wheel holds the globally earliest
-            // event: higher levels differ from the anchor at a higher
-            // digit, i.e. lie in strictly later blocks.
-            unsigned k = 0;
-            while (wheels_[k].count == 0)
-                ++k;
-            Wheel &w = wheels_[k];
-            // Only slots at/after the anchor's digit can be occupied
-            // (an earlier digit would mean a tick below the anchor),
-            // so the scan never crosses the block edge into stale
-            // slot indices.
-            const std::size_t digit =
-                std::size_t(cal_base_ >> w.shift) & (kUpperSlots - 1);
-            const std::size_t off =
-                scanOccupied(w.occ.data(), kUpperSlots, digit,
-                             kUpperSlots - digit);
-            CAMLLM_ASSERT(off < kUpperSlots - digit,
-                          "non-empty wheel scanned empty in-block");
-            const std::size_t idx = digit + off;
-            const Tick start =
-                ((cal_base_ >> (w.shift + 10)) << (w.shift + 10)) |
-                (Tick(idx) << w.shift);
-            if (start > commit_limit)
-                return start; // lower bound; anchor stays put
-            // Cascade: drain the slot in stored (insertion) order
-            // into the levels below. Its span is exactly the next
-            // level's whole block, so every event lands at least one
-            // level down; only anchor digits below level k change,
-            // so no other event's level shifts.
-            cal_base_ = start;
-            cal_scan_ = start;
-            Bucket &b = w.slots[idx];
-            Event *ev = b.head;
-            b.head = b.tail = nullptr;
-            w.occ[idx >> 6] &= ~(std::uint64_t(1) << (idx & 63));
-            while (ev != nullptr) {
-                Event *next = ev->next;
-                --w.count;
-                --wheel_count_;
-                enqueue(ev);
-                ev = next;
-            }
-            continue;
-        }
-        CAMLLM_ASSERT(!heap_.empty());
-        const Tick top = heap_.front().when;
-        if (top > commit_limit)
-            return top;
-        migrateFromHeap();
-    }
-}
-
-EventQueue::Event *
-EventQueue::popAt(Tick t)
-{
-    const std::size_t idx = std::size_t(t & bucket_mask_);
-    Bucket &b = buckets_[idx];
-    Event *ev = b.head;
-    b.head = ev->next;
-    if (b.head == nullptr) {
-        b.tail = nullptr;
-        occ0_[idx >> 6] &= ~(std::uint64_t(1) << (idx & 63));
-    }
-    --cal_count_;
-    return ev;
-}
-
-void
 EventQueue::reserve(std::size_t events)
 {
-    if (heap_.capacity() < events)
-        heap_.reserve(events);
+    heap_.reserve(events);
     if (free_count_ + (kChunk - chunk_used_) >= events)
         return;
     // Pre-carve records onto the free list until @p events can be
@@ -458,29 +227,16 @@ EventQueue::runNext(Tick limit)
         release(ev);
         return true;
     }
-    const bool calendar = calendarPending() > 0;
-    Tick t = 0;         // calendar head tick, or a lower bound on it
-    bool exact = false; // t is the committed calendar head tick
     while (tickers_ > 0) {
         Lane &lane = earliestLane();
         Ticker *tk = lane.head;
         if (tk->when_ > limit)
             break;
-        // Peek no further than the ticker, so a re-anchor never runs
-        // ahead of the clock the ticker is about to set. Passes do not
-        // touch the calendar, so an exact peek stays valid for the
-        // whole run of passes, and a lower bound until a ticker
-        // reaches it.
-        if (calendar && !exact && t <= tk->when_) {
-            t = peekEarliestTick(tk->when_);
-            exact = t <= tk->when_;
-        }
-        if (calendar && exact &&
-            (t < tk->when_ ||
-             (t == tk->when_ &&
-              buckets_[std::size_t(t & bucket_mask_)].head->seq <
-                  tk->seq_)))
-            break; // the calendar event comes first
+        // Passes never touch the heap, so its front stays put for the
+        // whole run of passes.
+        if (!heap_.empty() &&
+            later(Entry{tk->when_, tk->seq_, nullptr}, heap_.front()))
+            break; // the calendar entry comes first
         now_ = tk->when_;
         ++executed_;
         if (tk->silent_ > 0) {
@@ -508,14 +264,12 @@ EventQueue::runNext(Tick limit)
         tk->fn_(tk->ctx_);
         return true;
     }
-    if (!calendar)
+    if (heap_.empty() || heap_.front().when > limit)
         return false;
-    if (!exact) {
-        t = peekEarliestTick(limit);
-        if (t > limit)
-            return false;
-    }
-    Event *ev = popAt(t);
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    Event *ev = heap_.back().ev;
+    heap_.pop_back();
+    const Tick t = ev->when;
     now_ = t;
     ++executed_;
     // A popped head's run is closed: a schedule at this tick from here
@@ -545,9 +299,6 @@ EventQueue::run()
 Tick
 EventQueue::runUntil(Tick limit)
 {
-    // Peeks never commit an anchor advance past @p limit, so when the
-    // loop ends the clock lands at limit >= cal_base_ and later
-    // schedules can never target a tick below the anchor.
     while (runNext(limit)) {
     }
     if (now_ < limit)
@@ -565,31 +316,11 @@ EventQueue::releaseAll()
             ev = next;
         }
     };
-    const auto releaseEntries = [&](Bucket &b) {
-        for (Event *ev = b.head; ev != nullptr;) {
-            Event *next = ev->next;
-            releaseChain(detachMembers(ev));
-            release(ev);
-            ev = next;
-        }
-        b.head = b.tail = nullptr;
-    };
     releaseChain(run_rest_);
     run_rest_ = nullptr;
-    for (Bucket &b : buckets_)
-        releaseEntries(b);
-    std::fill(occ0_.begin(), occ0_.end(), 0);
-    cal_count_ = 0;
-    for (Wheel &w : wheels_) {
-        for (Bucket &b : w.slots)
-            releaseEntries(b);
-        w.occ.fill(0);
-        w.count = 0;
-    }
-    wheel_count_ = 0;
-    for (FarEvent &fe : heap_) {
-        releaseChain(detachMembers(fe.ev));
-        release(fe.ev);
+    for (const Entry &e : heap_) {
+        releaseChain(detachMembers(e.ev));
+        release(e.ev);
     }
     heap_.clear();
     open_.fill(OpenRun{});
@@ -610,8 +341,6 @@ EventQueue::reset()
     }
     lanes_.clear();
     tickers_ = 0;
-    cal_base_ = 0;
-    cal_scan_ = 0;
     now_ = 0;
     next_seq_ = 0;
     executed_ = 0;

@@ -9,19 +9,17 @@
  *
  * The kernel is allocation-free on the hot path: event records are
  * fixed-size nodes with inline callback storage (no std::function, no
- * per-event heap traffic) recycled through a free list. Pending events
- * live in a hierarchical timing-wheel calendar — a one-tick-resolution
- * near-future window scanned through an occupancy bitmap, backed by
- * geometrically coarser wheels whose slots cascade lazily into the
- * level below as the clock reaches them — so schedule/pop stay O(1)
- * amortized whether events are nanoseconds or whole simulated seconds
- * apart. Only events beyond the combined wheel span (window x 1024^4
- * ticks, ~2 weeks at the default window) fall back to a binary heap.
+ * per-event allocation) recycled through a free list. Pending events
+ * live in one binary min-heap of calendar entries keyed by (tick,
+ * sequence number). Same-tick runs (below) keep that heap shallow: the
+ * serving workloads never hold more than a few dozen entries in it,
+ * so a plain heap is enough at any tick distance, with no window,
+ * anchor or far-future fallback.
  *
  * Adjacent same-tick events share one calendar entry. An event
  * scheduled for a tick whose newest pending entry is still *open*
- * joins that entry as a member of its same-tick run: no calendar
- * insert, cascade or peek of its own. A run stays open until its head
+ * joins that entry as a member of its same-tick run: no heap insert
+ * of its own. A run stays open until its head
  * is popped or anything else takes a sequence number for its tick (a
  * newer entry, a ticker's arm() or silent pass), so every sequence
  * number between two members at that tick belongs to a member as
@@ -58,30 +56,17 @@ namespace camllm {
 /**
  * Min-ordered event queue keyed by (tick, insertion sequence).
  *
- * Invariants (W = windowTicks(), a power of two; the level-0 window
- * [cal_base_, cal_base_ + W) is always W-aligned):
- *  - an event's level is decided by the highest base-kUpperSlots
- *    "digit" of its tick (counting from the W-aligned low bits) that
- *    differs from cal_base_'s: no digit differs -> level-0 bucket
- *    `when & (W - 1)`; digit k differs (k = 1..kUpperLevels) ->
- *    wheel k, slot index = that digit; beyond the top wheel's block
- *    -> the far-future heap;
- *  - cal_base_ moves within a wheel's block only by cascading that
- *    wheel's earliest occupied slot into the levels below it, and
- *    jumps across the top block only when everything else is empty
- *    (re-pulling now-in-block heap events in (when, seq) order) — so
- *    a pending event's level only ever decreases, each drain re-adds
- *    events in their original insertion order, and a newer event can
- *    never land in a lower level than an older same-tick one. That
- *    keeps same-tick FIFO order exact end to end;
- *  - levels are disjoint in time: every level-k event precedes every
- *    level-(k+1) event (they differ from cal_base_ at a higher
- *    digit), so the earliest pending event is always in the lowest
- *    non-empty level, found by an occupancy-bitmap scan;
- *  - the levels and the heap hold entries; a run's members ride with
- *    their head through every cascade and migration, and open_[when %
+ * Invariants:
+ *  - heap_ holds calendar entries (run heads and lone events), one
+ *    per record, heap-ordered by (when, seq); sequence numbers are
+ *    unique, so the order has no ties and the front is the earliest
+ *    entry;
+ *  - a run's members ride with their head, and open_[when %
  *    kOpenSlots] names the only entry at its tick that may still take
- *    members (none once a ticker numbers a boundary at that tick).
+ *    members (none once a ticker numbers a boundary at that tick);
+ *  - the next thing to run is the rest of the run in progress, else
+ *    whichever of the heap front and the earliest ticker lane head
+ *    has the smaller (when, seq).
  */
 class EventQueue
 {
@@ -89,14 +74,7 @@ class EventQueue
     /** Inline capacity of an event record's callback storage. */
     static constexpr std::size_t kInlineBytes = 48;
 
-    /**
-     * @param window_ticks level-0 calendar width in ticks; rounded up
-     * to a power of two and clamped to [kMinWindow, kMaxWindow]. The
-     * upper wheels scale with the window (slot width of wheel k is
-     * window x 1024^(k-1) ticks), so a wider window also widens the
-     * span the heap never sees.
-     */
-    explicit EventQueue(std::size_t window_ticks = kDefaultWindow);
+    EventQueue();
     ~EventQueue();
 
     EventQueue(const EventQueue &) = delete;
@@ -113,7 +91,7 @@ class EventQueue
     std::size_t
     pending() const
     {
-        return calendarPending() + members_ + tickers_;
+        return heap_.size() + members_ + tickers_;
     }
 
     bool empty() const { return pending() == 0; }
@@ -233,7 +211,7 @@ class EventQueue
     void disarm(Ticker &t);
 
     /**
-     * Pre-size the far-future heap and the event pool for @p events
+     * Pre-size the calendar heap and the event pool for @p events
      * pending events, avoiding regrowth mid-simulation.
      */
     void reserve(std::size_t events);
@@ -261,25 +239,6 @@ class EventQueue
      */
     std::size_t poolAllocated() const { return pool_allocated_; }
 
-    /** Realized level-0 calendar width in ticks (power of two). */
-    std::size_t windowTicks() const { return buckets_.size(); }
-
-    /** Events currently parked in the far-future heap (beyond the
-     *  combined wheel span), run members included; exposed so tests
-     *  can pin when the heap fallback engages. */
-    std::size_t heapPending() const;
-
-    static constexpr std::size_t kDefaultWindow = 1024;
-    static constexpr std::size_t kMinWindow = 16;
-    static constexpr std::size_t kMaxWindow = std::size_t(1) << 20;
-
-    /** Slots per upper wheel; slot width of wheel k (1-based) is
-     *  windowTicks() * kUpperSlots^(k-1). */
-    static constexpr std::size_t kUpperSlots = 1024;
-
-    /** Upper wheels above the level-0 window. */
-    static constexpr unsigned kUpperLevels = 4;
-
   private:
     /** Event records per pool chunk. */
     static constexpr std::size_t kChunk = 512;
@@ -288,7 +247,7 @@ class EventQueue
     {
         Tick when = 0;
         std::uint64_t seq = 0;
-        Event *next = nullptr; ///< bucket FIFO / member ring / free list
+        Event *next = nullptr; ///< member ring / free list
         /** Newest member of the same-tick run this event heads, or
          *  null; members form a ring through `next`, so last->next is
          *  the oldest. */
@@ -298,35 +257,28 @@ class EventQueue
         alignas(std::max_align_t) unsigned char storage[kInlineBytes];
     };
 
-    struct Bucket
+    /** Calendar heap entry; the key is copied out of the record so
+     *  sifting never touches the pool. */
+    struct Entry
     {
-        Event *head = nullptr;
-        Event *tail = nullptr;
+        Tick when;
+        std::uint64_t seq;
+        Event *ev;
     };
 
-    /**
-     * One upper wheel: kUpperSlots buckets of 2^shift ticks each,
-     * indexed by the tick's level digit `(when >> shift) % kUpperSlots`.
-     * It holds exactly the events inside cal_base_'s 2^(shift+10)-tick
-     * block whose digit differs from cal_base_'s; a slot keeps its
-     * events in insertion order, and cascading drains the earliest
-     * occupied slot at/after cal_base_'s digit into the levels below
-     * (the slot span is exactly the next level's whole block).
-     */
-    struct Wheel
+    /** Heap ordering predicate: a runs after b. */
+    static bool
+    later(const Entry &a, const Entry &b)
     {
-        std::array<Bucket, kUpperSlots> slots;
-        std::array<std::uint64_t, kUpperSlots / 64> occ{};
-        std::size_t count = 0;
-        unsigned shift = 0; ///< log2 slot width in ticks
-    };
+        return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+    }
 
     /**
      * Armed tickers of one period, in (when, seq) order. Every armed
      * ticker's next boundary lies in [now, now + period], so a pass
      * (next boundary one period later, fresh sequence number) always
      * moves the head to the back and a new arm() always appends: the
-     * lane is a FIFO, and each pass is O(1).
+     * lane is a FIFO, and each pass is O(1) where a heap would sift.
      */
     struct Lane
     {
@@ -346,17 +298,6 @@ class EventQueue
      *  new run. */
     static constexpr std::size_t kOpenSlots = 1024;
 
-    /** Far-future reference; heap-ordered by (when, seq). */
-    struct FarEvent
-    {
-        Tick when;
-        std::uint64_t seq;
-        Event *ev;
-    };
-
-    /** Heap ordering predicate: a executes after b. */
-    static bool farLater(const FarEvent &a, const FarEvent &b);
-
     /** Pop a pooled record and stamp (when, seq); not yet linked in. */
     Event *acquire(Tick when);
     /** Destroy the callback (if any) and return the node to the pool. */
@@ -364,39 +305,8 @@ class EventQueue
     Event *allocate();
     void addChunk();
     /** Add a newly scheduled event: as a member of the open run at
-     *  its tick if there is one, else as a new (open) entry. */
+     *  its tick if there is one, else as a new (open) heap entry. */
     void link(Event *ev);
-    /** Link a fully-constructed entry into its level or the heap. */
-    void enqueue(Event *ev);
-    static void appendToBucket(Bucket &b, Event *ev);
-    /**
-     * Jump cal_base_ to the heap's earliest tick (W-aligned) and pull
-     * every heap event inside the new top-wheel block into the
-     * wheels/calendar; requires the calendar and all wheels empty.
-     */
-    void migrateFromHeap();
-    /**
-     * Tick of the earliest pending event, lazily cascading upper
-     * wheels and migrating the heap as needed; pending() must be
-     * nonzero. Re-anchors (cal_base_ advances) commit only while the
-     * new anchor is <= @p commit_limit; past that the return value is
-     * merely a lower bound > commit_limit (the anchor is untouched,
-     * so a caller that stops at commit_limit never leaves cal_base_
-     * ahead of the clock — which is what keeps later schedules at
-     * ticks below the anchor impossible).
-     */
-    Tick peekEarliestTick(Tick commit_limit);
-    /** Unlink and return the first event of the level-0 bucket at
-     *  @p t, a tick peekEarliestTick() just returned and committed. */
-    Event *popAt(Tick t);
-
-    /** Calendar entries (run heads and lone events) across all
-     *  levels; run members are counted in members_. */
-    std::size_t
-    calendarPending() const
-    {
-        return cal_count_ + wheel_count_ + heap_.size();
-    }
 
     /** Close the open run at @p t, if any: a ticker boundary is about
      *  to take a sequence number for that tick. */
@@ -411,7 +321,7 @@ class EventQueue
     /** Unlink @p head's members; @return the oldest, the rest
      *  following through `next` (null-terminated). */
     static Event *detachMembers(Event *head);
-    /** Release every pending calendar event and empty every level. */
+    /** Release every pending calendar event and empty the heap. */
     void releaseAll();
 
     /** Pass silent ticker boundaries and run the first event (ticker
@@ -422,17 +332,7 @@ class EventQueue
     Lane &earliestLane();
     void removeLane(Lane &lane);
 
-    std::vector<Bucket> buckets_; ///< level 0: one tick per bucket
-    std::vector<std::uint64_t> occ0_; ///< level-0 occupancy bitmap
-    Tick bucket_mask_ = 0; ///< buckets_.size() - 1 (power of two)
-    std::size_t cal_count_ = 0;
-    Tick cal_base_ = 0; ///< W-aligned window start (the level anchor)
-    Tick cal_scan_ = 0; ///< resume point for the earliest-bucket scan
-
-    std::array<Wheel, kUpperLevels> wheels_;
-    std::size_t wheel_count_ = 0; ///< events across all upper wheels
-
-    std::vector<FarEvent> heap_;
+    std::vector<Entry> heap_; ///< calendar entries, a min-heap
 
     std::array<OpenRun, kOpenSlots> open_{};
     Event *run_rest_ = nullptr; ///< members of the run in progress

@@ -135,10 +135,9 @@ TEST(EventQueueDeath, PastSchedulingPanics)
     EXPECT_DEATH(eq.schedule(50, [] {}), "scheduled in the past");
 }
 
-// Determinism regression for the pooled calendar/heap kernel: 10k
-// events with randomized ticks (dense same-tick bursts inside the
-// calendar window plus far-future outliers that migrate from the
-// heap) must execute in exact (tick, insertion order).
+// Determinism regression for the pooled kernel: 10k events with
+// randomized ticks (dense same-tick bursts near the clock plus a
+// sparse far tail) must execute in exact (tick, insertion order).
 TEST(EventQueue, RandomizedSameTickInsertionOrderPreserved)
 {
     Rng rng(1234);
@@ -217,29 +216,17 @@ TEST(EventQueue, OversizedCallbacksExecuteAndDestroy)
     EXPECT_TRUE(watch.expired()); // capture destroyed after execution
 }
 
-// --- configurable calendar window ---------------------------------------
+// --- far ticks and same-tick FIFO -------------------------------------------
 
-TEST(EventQueueWindow, DefaultAndRounding)
-{
-    EXPECT_EQ(EventQueue().windowTicks(), EventQueue::kDefaultWindow);
-    EXPECT_EQ(EventQueue(100).windowTicks(), 128u);
-    EXPECT_EQ(EventQueue(64).windowTicks(), 64u);
-    // Clamped to the minimum width.
-    EXPECT_EQ(EventQueue(1).windowTicks(), EventQueue::kMinWindow);
-}
-
-// Events repeatedly straddling a tiny calendar window (some in the
-// current window, some migrating through the far-future heap) must
-// still execute in exact (tick, insertion) order.
-TEST(EventQueueWindow, StraddlingEventsKeepOrderAcrossBoundary)
+// Dense ticks mixed with far outliers execute in exact (tick,
+// insertion) order.
+TEST(EventQueueFarTicks, DenseTicksAndOutliersKeepOrder)
 {
     Rng rng(99);
-    EventQueue eq(16);
-    ASSERT_EQ(eq.windowTicks(), 16u);
+    EventQueue eq;
     std::vector<std::pair<Tick, int>> fired;
     std::vector<std::pair<Tick, int>> want;
     for (int i = 0; i < 4000; ++i) {
-        // Dense ticks spanning several windows plus far outliers.
         Tick when = (i % 5 == 0) ? Tick(1000 + rng.below(500))
                                  : Tick(rng.below(80));
         want.emplace_back(when, i);
@@ -255,12 +242,11 @@ TEST(EventQueueWindow, StraddlingEventsKeepOrderAcrossBoundary)
     EXPECT_EQ(fired, want);
 }
 
-// Nested scheduling exactly at the window edge: an event at the last
-// in-window tick schedules one just past the (advanced) boundary and
-// one far beyond it.
-TEST(EventQueueWindow, NestedSchedulingAcrossBoundary)
+// Nested scheduling from a running event: one just after it, one far
+// beyond an already-pending later event.
+TEST(EventQueueFarTicks, NestedSchedulingToLaterTicks)
 {
-    EventQueue eq(16);
+    EventQueue eq;
     std::vector<Tick> times;
     eq.schedule(15, [&] {
         times.push_back(eq.now());
@@ -272,23 +258,20 @@ TEST(EventQueueWindow, NestedSchedulingAcrossBoundary)
     EXPECT_EQ(times, (std::vector<Tick>{15, 16, 31, 500}));
 }
 
-// Events exactly at (and adjacent to) every wheel-block boundary, each
-// tick scheduled twice, inserted in descending order: the hierarchy
-// must still execute in exact (tick, insertion) order, and only ticks
-// beyond the top wheel's block may touch the far-future heap.
-TEST(EventQueueWindow, EventsAtExactBlockBoundaries)
+// Events at and next to powers of two up to 2^63, plus kTickMax, each
+// tick scheduled twice and inserted in descending order, execute in
+// exact (tick, insertion) order.
+TEST(EventQueueFarTicks, PowerOfTwoEdgesKeepOrder)
 {
-    EventQueue eq(16); // W=16: block widths 2^14, 2^24, 2^34, 2^44
-    const std::vector<Tick> edges = {
-        Tick(1) << 4,  Tick(1) << 14, Tick(1) << 24,
-        Tick(1) << 34, Tick(1) << 44,
-    };
-    std::vector<Tick> ticks = {0};
-    for (Tick e : edges) {
+    EventQueue eq;
+    std::vector<Tick> ticks = {0, kTickMax - 1, kTickMax};
+    for (unsigned k : {4, 14, 24, 34, 44, 54, 63}) {
+        const Tick e = Tick(1) << k;
         ticks.push_back(e - 1);
         ticks.push_back(e);
         ticks.push_back(e + 1);
     }
+    std::sort(ticks.begin(), ticks.end());
     std::vector<std::pair<Tick, int>> fired;
     std::vector<std::pair<Tick, int>> want;
     int idx = 0;
@@ -300,22 +283,21 @@ TEST(EventQueueWindow, EventsAtExactBlockBoundaries)
                 fired.emplace_back(when, idx);
             });
         }
-    // Only 2^44 and 2^44 + 1 lie beyond the top block (x2 each).
-    EXPECT_EQ(eq.heapPending(), 4u);
     eq.run();
     std::stable_sort(want.begin(), want.end(),
                      [](const auto &a, const auto &b) {
                          return a.first < b.first;
                      });
     EXPECT_EQ(fired, want);
+    EXPECT_EQ(eq.now(), kTickMax);
 }
 
-// Randomized mix spanning every level (dense same-tick collisions in
-// the window, mid wheels, and past-top-block heap events).
-TEST(EventQueueWindow, RandomizedAllLevelsOrderPreserved)
+// Randomized mix of tick scales (dense same-tick collisions up to
+// ticks near 2^45).
+TEST(EventQueueFarTicks, RandomizedScalesOrderPreserved)
 {
     Rng rng(7);
-    EventQueue eq(16);
+    EventQueue eq;
     const Tick scales[] = {64, Tick(1) << 16, Tick(1) << 26,
                            Tick(1) << 36, Tick(1) << 45};
     std::vector<std::pair<Tick, int>> fired;
@@ -336,51 +318,50 @@ TEST(EventQueueWindow, RandomizedAllLevelsOrderPreserved)
     EXPECT_EQ(eq.executed(), 4000u);
 }
 
-// Regression for the lazily-cascading calendar: a runUntil() that
-// stops inside an idle gap peeks at (but must not commit past) the
-// next pending tick. Events scheduled afterwards, below that tick,
-// must still run first and in order.
+// A runUntil() that stops inside an idle gap leaves the next pending
+// event alone; events scheduled afterwards, below its tick, still run
+// first and in order.
 TEST(EventQueue, RunUntilIdleGapThenEarlierSchedule)
 {
-    EventQueue eq(16);
+    EventQueue eq;
     std::vector<Tick> times;
     auto mark = [&] { times.push_back(eq.now()); };
-    eq.schedule(100000, mark); // two wheels up for W=16
+    eq.schedule(100000, mark);
     eq.runUntil(50);
     EXPECT_EQ(eq.now(), 50u);
     EXPECT_EQ(eq.pending(), 1u);
     eq.schedule(60, mark);
-    eq.schedule(55, mark); // same upper-wheel slot as 60, earlier tick
+    eq.schedule(55, mark);
     eq.run();
     EXPECT_EQ(times, (std::vector<Tick>{55, 60, 100000}));
 }
 
-// The bucket-scan cursor caches the last found tick; an event
-// scheduled below it (but past now) must rewind the cursor.
-TEST(EventQueue, RunUntilKeepsScanCursorConsistent)
+// An event scheduled between the clock and the next pending event
+// after a runUntil() runs before that pending event.
+TEST(EventQueue, RunUntilThenScheduleBeforeNextPending)
 {
     EventQueue eq;
     std::vector<Tick> times;
     auto mark = [&] { times.push_back(eq.now()); };
     eq.schedule(100, mark);
     eq.schedule(900, mark);
-    eq.runUntil(500); // runs 100, scan cursor parks on 900
+    eq.runUntil(500); // runs 100; 900 stays pending
     eq.schedule(600, mark);
-    eq.runUntil(700); // must find 600 despite the parked cursor
+    eq.runUntil(700); // must find 600 ahead of 900
     EXPECT_EQ(times, (std::vector<Tick>{100, 600}));
     eq.run();
     EXPECT_EQ(times, (std::vector<Tick>{100, 600, 900}));
 }
 
-// reset() must clear every level (window, wheels, heap) and the scan
-// cursor, so earlier ticks are schedulable again from a cold clock.
-TEST(EventQueue, ResetClearsScanCursorAndWheels)
+// reset() drops near and far pending events alike, so earlier ticks
+// are schedulable again from a cold clock.
+TEST(EventQueue, ResetClearsFarTicks)
 {
-    EventQueue eq(16);
+    EventQueue eq;
     eq.schedule(30, [] {});
-    eq.schedule(100000, [] {});        // upper wheel
-    eq.schedule(Tick(1) << 44, [] {}); // heap
-    eq.runUntil(40);                   // executes 30, peeks the rest
+    eq.schedule(100000, [] {});
+    eq.schedule(Tick(1) << 44, [] {});
+    eq.runUntil(40); // executes 30 only
     eq.reset();
     EXPECT_TRUE(eq.empty());
     EXPECT_EQ(eq.now(), 0u);
@@ -393,22 +374,19 @@ TEST(EventQueue, ResetClearsScanCursorAndWheels)
     EXPECT_EQ(eq.executed(), 2u);
 }
 
-// Same-tick FIFO across cascade depths: events for one far tick are
-// inserted at different anchor positions (so they enter at different
-// wheel levels) and must still interleave in insertion order.
-TEST(EventQueue, SameTickFifoAcrossWheelCascades)
+// Same-tick FIFO for one far tick whose events are scheduled at
+// different clock positions (two up front, two from running events
+// at 100 and 17,000,000): they run in insertion order.
+TEST(EventQueueSameTick, FifoAcrossSchedulingTimes)
 {
-    EventQueue eq(16);
+    EventQueue eq;
     std::vector<int> order;
-    const Tick far = 20'000'000; // third wheel for W=16
+    const Tick far = 20'000'000;
     eq.schedule(far, [&] { order.push_back(0); });
     eq.schedule(100, [&] {
         eq.schedule(far, [&] { order.push_back(2); });
     });
     eq.schedule(far, [&] { order.push_back(1); });
-    // After this runs the anchor sits one block below `far`, so the
-    // callback's insertion enters at a lower wheel than 0/1/2 did —
-    // yet it must still run last within the tick.
     eq.schedule(17'000'000, [&] {
         eq.schedule(far, [&] { order.push_back(3); });
     });
@@ -435,21 +413,19 @@ TEST(EventQueue, ReserveTopUpAccounting)
     EXPECT_GE(eq.poolAllocated(), 5000u);
 }
 
-// Same-tick ordering must hold across the calendar/heap boundary:
-// events scheduled for one far tick from the heap and events
-// scheduled for that tick after the window advanced must interleave
-// in insertion order.
-TEST(EventQueue, HeapMigrationKeepsFifoWithinTick)
+// Same-tick FIFO for one far tick: an event scheduled for it from a
+// running event, after two were scheduled up front, runs after both.
+TEST(EventQueueSameTick, FifoWithinFarTick)
 {
     EventQueue eq;
     std::vector<int> order;
     const Tick far = 1'000'000;
-    eq.schedule(far, [&] { order.push_back(0); }); // via heap
+    eq.schedule(far, [&] { order.push_back(0); });
     eq.schedule(10, [&eq, &order, far] {
         // Scheduled third in real time, so it runs after both others.
         eq.schedule(far, [&order] { order.push_back(1); });
     });
-    eq.schedule(far, [&] { order.push_back(2); }); // via heap
+    eq.schedule(far, [&] { order.push_back(2); });
     eq.run();
     EXPECT_EQ(order, (std::vector<int>{0, 2, 1}));
 }
@@ -924,17 +900,19 @@ struct Observed
 /**
  * A seeded mix aimed at same-tick runs, driving queue type Q: bursts
  * of same-tick schedules (zero-delay ones from inside running
- * events too), ticks in the window, the wheels and the far heap,
- * tickers whose periods match the burst delays so their arm(),
- * passes, fireNext() and disarm() land on ticks with open runs, and a
- * driver that alternates step(), runUntil() limits between runs and
- * an occasional reset(). The queue is destroyed with events pending.
+ * events too) at ticks spread over the whole 64-bit range up to
+ * kTickMax, tickers whose periods match the burst delays so their
+ * arm(), passes, fireNext() and disarm() land on ticks with open
+ * runs, and a driver that alternates step(), runUntil() limits
+ * (between runs and anywhere up to kTickMax) and an occasional
+ * reset(). The queue is destroyed with events pending.
  */
 template <typename Q>
 class RunScenario
 {
   public:
-    explicit RunScenario(std::uint64_t seed) : rng_(seed), q_(makeQueue())
+    explicit RunScenario(std::uint64_t seed)
+        : rng_(seed), q_(std::make_unique<Q>())
     {
         for (int i = 0; i < 3; ++i)
             tickers_.push_back(std::make_unique<TickerCtx>(this, i));
@@ -952,9 +930,9 @@ class RunScenario
             if (r < 8) {
                 q_->step();
             } else if (r < 17) {
-                q_->runUntil(q_->now() + rng_.below(12));
+                q_->runUntil(ahead(rng_.below(12)));
             } else if (r < 19) {
-                q_->runUntil(q_->now() + (Tick(1) << rng_.below(46)));
+                q_->runUntil(ahead(spread()));
             } else {
                 q_->reset();
                 burst();
@@ -1001,13 +979,20 @@ class RunScenario
         typename Q::Ticker ticker;
     };
 
-    static std::unique_ptr<Q>
-    makeQueue()
+    /** now() + @p d, saturating at kTickMax. */
+    Tick
+    ahead(Tick d) const
     {
-        if constexpr (std::is_same_v<Q, EventQueue>)
-            return std::make_unique<Q>(16); // wheels from 16 ticks out
-        else
-            return std::make_unique<Q>();
+        return q_->now() + std::min(d, kTickMax - q_->now());
+    }
+
+    /** A delay of any magnitude up to 2^64 - 1 (often exactly). */
+    Tick
+    spread()
+    {
+        if (rng_.chance(0.25))
+            return kTickMax;
+        return rng_.next() >> rng_.below(64);
     }
 
     /** A delay that often matches a ticker period (2, 4 or 8). */
@@ -1020,17 +1005,18 @@ class RunScenario
         if (r < 12)
             return Tick(1) << rng_.below(4);
         if (r < 14)
-            return Tick(16) + rng_.below(Tick(1) << 20); // the wheels
+            return Tick(16) + rng_.below(Tick(1) << 20);
         if (r < 15)
             return Tick(1) << (20 + rng_.below(20));
-        return (Tick(1) << 44) + rng_.below(1 << 10); // the far heap
+        return spread();
     }
 
-    /** A run of same-tick schedules at now() + delay(). */
+    /** A run of same-tick schedules at now() + delay(), saturating at
+     *  kTickMax. */
     void
     burst()
     {
-        const Tick when = q_->now() + delay();
+        const Tick when = ahead(delay());
         const std::uint64_t n = 1 + rng_.below(12);
         for (std::uint64_t i = 0; i < n && budget_ > 0; ++i)
             spawn(when);
@@ -1061,7 +1047,9 @@ class RunScenario
         TickerCtx &t = *tickers_[rng_.below(tickers_.size())];
         const std::uint64_t r = rng_.below(10);
         if (!t.ticker.armed()) {
-            if (r < 4)
+            // Its boundaries (at most 6 periods of at most 8 ticks)
+            // must not pass kTickMax.
+            if (r < 4 && q_->now() <= kTickMax - 48)
                 q_->arm(t.ticker, Tick(2) << rng_.below(3), rng_.below(6));
         } else if (r < 2) {
             q_->fireNext(t.ticker);

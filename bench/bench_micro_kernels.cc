@@ -2,7 +2,8 @@
  * @file
  * Google-benchmark microbenchmarks for the hot simulator and
  * functional kernels: event queue, channel bus, die pipeline, tiling
- * planner, INT8 GeMV, ECC page codec and bit-flip injection.
+ * planner, INT8 GeMV, ECC page codec, bit-flip injection and the
+ * fault model's read-retry ladder.
  */
 
 #include <benchmark/benchmark.h>
@@ -26,7 +27,10 @@
 #include "ecc/bitflip.h"
 #include "ecc/outlier_codec.h"
 #include "flash/channel_engine.h"
+#include "flash/fault.h"
+#include "flash/placement.h"
 #include "llm/kernels.h"
+#include "llm/model_config.h"
 #include "llm/tiny_transformer.h"
 #include "sim/event_queue.h"
 
@@ -307,6 +311,73 @@ BM_EventQueueLockstep(benchmark::State &state)
 }
 BENCHMARK(BM_EventQueueLockstep);
 
+/**
+ * The read-retry ladder under aged_7b's fault spec (500 h retention,
+ * 2000 P/E with a +/-60% plane gradient, 32-bit ECC, wear tracking)
+ * on presetL, with Llama2-7B's W8A8 weights striped over the planes.
+ * One ladder draw is one fresh read-plane sense; draws sweep the dies
+ * channel by channel, as round-robin read dispatch does.
+ */
+struct FaultLadderWorkload
+{
+    static constexpr int kDraws = 1 << 16;
+
+    core::CamConfig cfg = core::presetL();
+    flash::WeightPlacement place{cfg.flash.geometry};
+    flash::FaultModel model{spec(), cfg.flash.geometry.page_bytes,
+                            cfg.flash.timing.t_read};
+
+    static flash::FaultSpec
+    spec()
+    {
+        flash::FaultSpec f;
+        f.retention_hours = 500.0;
+        f.pe_cycles = 2000.0;
+        f.wear_tracking = true;
+        f.wear_skew = 0.6;
+        f.ecc_correctable_bits = 32;
+        return f;
+    }
+
+    FaultLadderWorkload()
+    {
+        const flash::FlashGeometry &g = cfg.flash.geometry;
+        const flash::FaultSpec &f = model.spec();
+        const std::uint64_t bytes = llm::QuantSpec::of(cfg.quant)
+                                        .weightBytes(llm::llama2_7b()
+                                                         .totalParams());
+        place.seedStriped((bytes + g.page_bytes - 1) / g.page_bytes);
+        place.seedWear(f.pe_cycles, f.wear_skew, f.retention_hours);
+        model.setWearSource(&place);
+    }
+
+    /** @return the retries drawn over kDraws ladder draws. */
+    std::uint64_t
+    run()
+    {
+        const flash::FlashGeometry &g = cfg.flash.geometry;
+        const std::uint32_t plane = g.planes_per_die > 1 ? 1 : 0;
+        std::uint64_t retries = 0;
+        for (int i = 0; i < kDraws; ++i) {
+            const std::uint32_t ch = std::uint32_t(i) % g.channels;
+            const std::uint32_t die =
+                (std::uint32_t(i) / g.channels) % g.diesPerChannel();
+            retries += model.drawRetriesForPlane(ch, die, plane);
+        }
+        return retries;
+    }
+};
+
+void
+BM_FaultLadder(benchmark::State &state)
+{
+    FaultLadderWorkload w;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(w.run());
+    state.SetItemsProcessed(state.iterations() * FaultLadderWorkload::kDraws);
+}
+BENCHMARK(BM_FaultLadder);
+
 /** The first "model name" in /proc/cpuinfo, or "unknown". */
 std::string
 cpuModel()
@@ -339,9 +410,9 @@ bestSeconds(int reps, Fn &&fn)
 }
 
 /**
- * Hand-timed hot-path summaries for BENCH_micro.json: the same three
- * paths this PR family optimizes (event kernel, GeMV, one engine
- * decode), so the perf trajectory is diffable across commits.
+ * Hand-timed hot-path summaries for BENCH_micro.json: the event
+ * kernel, the fault model's retry ladder, GeMV and one engine decode,
+ * so the perf trajectory is diffable across commits.
  */
 void
 emitJson(double bench_wall_s)
@@ -387,6 +458,14 @@ emitJson(double bench_wall_s)
         });
         j.add("event_queue.lockstep_events_per_s",
               double(LockstepWorkload::kTotalEvents) / s);
+    }
+    {
+        FaultLadderWorkload w;
+        const double s = bestSeconds(5, [&] {
+            benchmark::DoNotOptimize(w.run());
+        });
+        j.add("fault.ladder_draws_per_s",
+              double(FaultLadderWorkload::kDraws) / s);
     }
     {
         // Fleet-scale events/sec: N independent serving replicas on

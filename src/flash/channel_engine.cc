@@ -125,22 +125,23 @@ ChannelEngine::dispatchReads()
 {
     if (read_queue_.empty() || free_read_planes_ == 0)
         return;
-    // Round-robin over dies so read service spreads across planes.
-    // The probe offset is not reset when the cursor moves, so after a
-    // push the scan resumes one die past the new cursor.
+    // Round-robin over dies so read service spreads across planes:
+    // each job goes to the first free die at or after the cursor.
     const std::size_t n = dies_.size();
-    for (std::size_t probe = 0;
-         probe < n && !read_queue_.empty() && free_read_planes_ > 0;
-         ++probe) {
+    std::size_t probe = 0;
+    while (probe < n && !read_queue_.empty() && free_read_planes_ > 0) {
         std::size_t d = rr_die_ + probe;
         if (d >= n)
             d -= n;
-        if (dies_[d]->canAcceptRead()) {
-            dies_[d]->pushReadJob(read_queue_.front());
-            read_queue_.pop_front();
-            --free_read_planes_;
-            rr_die_ = d + 1 == n ? 0 : d + 1;
+        if (!dies_[d]->canAcceptRead()) {
+            ++probe;
+            continue;
         }
+        dies_[d]->pushReadJob(read_queue_.front());
+        read_queue_.pop_front();
+        --free_read_planes_;
+        rr_die_ = d + 1 == n ? 0 : d + 1;
+        probe = 0;
     }
 }
 

@@ -95,9 +95,8 @@ DieModel::startRcSense(std::uint32_t attempt, std::uint32_t retries)
     // Every sense routes through the fault model when armed: attempt
     // 0 at default ECC strength is the base tR exactly, while an
     // armed ECC strength pays its soft-sense factor on every attempt.
-    const Tick tr = fault_
-                        ? fault_->senseTime(params_.timing.t_read, attempt)
-                        : params_.timing.t_read;
+    const Tick tr =
+        fault_ ? fault_->senseTime(attempt) : params_.timing.t_read;
     eq_.scheduleIn(tr, [this, attempt, retries] {
         if (offline_)
             return;
@@ -151,9 +150,8 @@ DieModel::startReadSense(std::uint32_t attempt, std::uint32_t retries)
     ++array_reads_;
     if (attempt > 0)
         ++retry_reads_;
-    const Tick tr = fault_
-                        ? fault_->senseTime(params_.timing.t_read, attempt)
-                        : params_.timing.t_read;
+    const Tick tr =
+        fault_ ? fault_->senseTime(attempt) : params_.timing.t_read;
     eq_.scheduleIn(tr, [this, attempt, retries] {
         if (offline_)
             return;

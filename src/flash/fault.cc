@@ -46,8 +46,10 @@ FaultSpec::effectiveUcpRate() const
     return std::min(ucp_rate * scale, 0.9);
 }
 
-FaultModel::FaultModel(const FaultSpec &spec, std::uint32_t page_bytes)
-    : spec_(spec), page_bytes_(page_bytes), rng_(spec.seed)
+FaultModel::FaultModel(const FaultSpec &spec, std::uint32_t page_bytes,
+                       Tick t_read)
+    : spec_(spec), page_bytes_(page_bytes), rng_(spec.seed),
+      uniform_rungs_(spec.ladder.max_retries, kUnset)
 {
     CAMLLM_ASSERT(page_bytes_ > 0);
     uniform_ber_ =
@@ -55,6 +57,15 @@ FaultModel::FaultModel(const FaultSpec &spec, std::uint32_t page_bytes)
     ucp_ = spec_.ecc_correctable_bits > 0
                ? ucpAt(spec_.retention_hours, spec_.pe_cycles)
                : spec_.effectiveUcpRate();
+
+    const double scale = eccSenseScale();
+    sense_.reserve(spec_.ladder.max_retries + 1);
+    sense_.push_back(scale == 1.0 ? t_read : Tick(double(t_read) * scale));
+    for (std::uint32_t k = 1; k <= spec_.ladder.max_retries; ++k) {
+        const double esc =
+            std::pow(RetryLadder::kSenseEscalation, double(k));
+        sense_.push_back(Tick(double(t_read) * esc * scale));
+    }
 }
 
 double
@@ -74,45 +85,55 @@ FaultModel::ucpAt(double age_hours, double pe_cycles) const
 }
 
 std::uint32_t
-FaultModel::climbLadder(double ucp0, double ber0)
+FaultModel::climbLadder(double ucp0, double ber0, double *rungs)
 {
     if (ucp0 <= 0.0)
         return 0;
     std::uint32_t r = 0;
     double p = ucp0;
-    double ber = ber0;
     while (r < spec_.ladder.max_retries) {
         ++draws_;
         if (!rng_.chance(p))
             break;
-        ++r;
-        if (spec_.ecc_correctable_bits > 0) {
-            // Shifted read levels lower the raw BER; re-derive the
-            // rung's failure probability from the codeword tail,
-            // which collapses super-geometrically for strong codes.
-            ber *= RetryLadder::kRetryFailDecay;
-            p = std::min(ecc::pageUcp(ber, spec_.ecc_correctable_bits,
-                                      spec_.ecc_codeword_bytes,
-                                      page_bytes_),
-                         0.9);
-        } else {
-            p *= RetryLadder::kRetryFailDecay;
-        }
+        double &odds = rungs[r++];
+        if (odds == kUnset)
+            odds = rungOdds(r, ucp0, ber0, rungs);
+        p = odds;
     }
     return r;
+}
+
+double
+FaultModel::rungOdds(std::uint32_t r, double ucp0, double ber0,
+                     const double *rungs) const
+{
+    if (spec_.ecc_correctable_bits == 0)
+        return (r == 1 ? ucp0 : rungs[r - 2]) *
+               RetryLadder::kRetryFailDecay;
+    // Shifted read levels lower the raw BER; re-derive the rung's
+    // failure probability from the codeword tail, which collapses
+    // super-geometrically for strong codes.
+    double ber = ber0;
+    for (std::uint32_t k = 0; k < r; ++k)
+        ber *= RetryLadder::kRetryFailDecay;
+    return std::min(ecc::pageUcp(ber, spec_.ecc_correctable_bits,
+                                 spec_.ecc_codeword_bytes, page_bytes_),
+                    0.9);
 }
 
 std::uint32_t
 FaultModel::drawRetries()
 {
-    return climbLadder(ucp_, uniform_ber_);
+    return climbLadder(ucp_, uniform_ber_, uniform_rungs_.data());
 }
 
 void
 FaultModel::setWearSource(const WeightPlacement *placement)
 {
     wear_ = placement;
-    odds_.assign(placement ? placement->planeCount() : 0, PlaneOdds{});
+    const std::size_t planes = placement ? placement->planeCount() : 0;
+    odds_.assign(planes, PlaneOdds{});
+    plane_rungs_.assign(planes * spec_.ladder.max_retries, kUnset);
 }
 
 std::uint32_t
@@ -128,6 +149,7 @@ FaultModel::drawRetriesForPlane(std::uint32_t channel,
     const double age = wear_->planeAge(idx);
     const double frac = wear_->planeFreshFraction(idx);
     PlaneOdds &o = odds_[idx];
+    double *rungs = plane_rungs_.data() + idx * spec_.ladder.max_retries;
     if (!o.known || o.pe != pe || o.age != age || o.fresh != frac) {
         double ucp0 = ucpAt(age, pe);
         double ber0 = ecc::retentionBer(age, pe);
@@ -139,8 +161,9 @@ FaultModel::drawRetriesForPlane(std::uint32_t channel,
                    frac * ecc::retentionBer(0.0, pe);
         }
         o = PlaneOdds{true, pe, age, frac, ucp0, ber0};
+        std::fill_n(rungs, spec_.ladder.max_retries, kUnset);
     }
-    return climbLadder(o.ucp0, o.ber0);
+    return climbLadder(o.ucp0, o.ber0, rungs);
 }
 
 double
@@ -150,17 +173,6 @@ FaultModel::eccSenseScale() const
         return 1.0;
     return 1.0 + spec_.ecc_sense_per_bit *
                      double(spec_.ecc_correctable_bits);
-}
-
-Tick
-FaultModel::senseTime(Tick t_read, std::uint32_t attempt) const
-{
-    const double scale = eccSenseScale();
-    if (attempt == 0)
-        return scale == 1.0 ? t_read : Tick(double(t_read) * scale);
-    const double esc =
-        std::pow(RetryLadder::kSenseEscalation, double(attempt));
-    return Tick(double(t_read) * esc * scale);
 }
 
 } // namespace camllm::flash

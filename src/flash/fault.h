@@ -39,8 +39,10 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/rng.h"
 #include "common/units.h"
+#include "flash/params.h"
 #include "flash/placement.h"
 
 namespace camllm::flash {
@@ -175,8 +177,11 @@ struct FaultSpec
 class FaultModel
 {
   public:
+    /** @p page_bytes sizes the ECC codeword tail; @p t_read is the
+     *  base array sense time every senseTime() attempt scales. */
     explicit FaultModel(const FaultSpec &spec,
-                        std::uint32_t page_bytes = 16384);
+                        std::uint32_t page_bytes = FlashGeometry{}.page_bytes,
+                        Tick t_read = FlashTiming{}.t_read);
 
     const FaultSpec &spec() const { return spec_; }
 
@@ -209,10 +214,17 @@ class FaultModel
      *  otherwise), before ladder decay. Clamped to [0, 0.9]. */
     double ucpAt(double age_hours, double pe_cycles) const;
 
-    /** Sense latency of attempt @p attempt. Attempt 0 at default ECC
-     *  strength is the base tR, exactly; an armed ECC strength
-     *  multiplies every attempt by the soft-sense factor. */
-    Tick senseTime(Tick t_read, std::uint32_t attempt) const;
+    /** Sense latency of attempt @p attempt (at most max_retries).
+     *  Attempt 0 at default ECC strength is the base tR, exactly; an
+     *  armed ECC strength multiplies every attempt by the soft-sense
+     *  factor. */
+    Tick
+    senseTime(std::uint32_t attempt) const
+    {
+        CAMLLM_ASSERT(attempt < sense_.size(), "sense attempt %u past %zu",
+                      attempt, sense_.size());
+        return sense_[attempt];
+    }
 
     /** tR multiplier the armed ECC strength imposes on every sense. */
     double eccSenseScale() const;
@@ -220,9 +232,21 @@ class FaultModel
     std::uint64_t drawsTaken() const { return draws_; }
 
   private:
-    /** Climb the ladder from first-sense probability @p ucp0; @p ber0
-     *  seeds the per-rung codeword-tail recompute when ECC is armed. */
-    std::uint32_t climbLadder(double ucp0, double ber0);
+    /** Marks a rung memo slot not yet evaluated (odds are never < 0). */
+    static constexpr double kUnset = -1.0;
+
+    /**
+     * Climb the ladder from first-sense probability @p ucp0. @p rungs
+     * memoizes rungs 1..max_retries of one wear state (slot r-1 holds
+     * rung r, kUnset until the rung is first reached); @p ber0 seeds a
+     * rung's codeword-tail evaluation when ECC is armed.
+     */
+    std::uint32_t climbLadder(double ucp0, double ber0, double *rungs);
+
+    /** Failure probability of rung @p r >= 1, from the same wear
+     *  state's first-sense odds and already-filled lower rungs. */
+    double rungOdds(std::uint32_t r, double ucp0, double ber0,
+                    const double *rungs) const;
 
     /** First-sense odds of one plane, valid while the plane's wear
      *  state still equals the key it was derived from. */
@@ -247,6 +271,13 @@ class FaultModel
      *  wear-state doubles, so a program or refresh that changes them
      *  recomputes the odds without any invalidation hook. */
     std::vector<PlaneOdds> odds_;
+    /** Rung memo of the uniform draw (max_retries slots). */
+    std::vector<double> uniform_rungs_;
+    /** Rung memos of every plane, max_retries slots each, cleared
+     *  whenever the plane's odds_ entry is re-derived. */
+    std::vector<double> plane_rungs_;
+    /** senseTime() of every attempt 0..max_retries. */
+    std::vector<Tick> sense_;
 };
 
 } // namespace camllm::flash

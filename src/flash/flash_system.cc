@@ -123,8 +123,8 @@ FlashSystem::armFaults(const FaultSpec &spec)
     CAMLLM_ASSERT(!fault_model_, "faults armed twice");
     if (!spec.any())
         return;
-    fault_model_ =
-        std::make_unique<FaultModel>(spec, params_.geometry.page_bytes);
+    fault_model_ = std::make_unique<FaultModel>(
+        spec, params_.geometry.page_bytes, params_.timing.t_read);
     for (auto &ch : channels_)
         ch->setFaultModel(fault_model_.get());
 

@@ -133,6 +133,18 @@ EventQueue::arm(Ticker &t, Tick period, std::uint64_t silent)
 {
     CAMLLM_ASSERT(!t.armed_, "ticker armed twice");
     CAMLLM_ASSERT(period > 0, "ticker with a zero period");
+    // The last boundary the ticker can reach, now + (silent + 1) *
+    // period, must not wrap past kTickMax; fireNext() only shortens
+    // the run, so the silent passes need no check of their own.
+    Tick quiet = 0;
+    const bool fits = !__builtin_mul_overflow(silent, period, &quiet) &&
+                      quiet <= kTickMax - now_ &&
+                      period <= kTickMax - now_ - quiet;
+    CAMLLM_ASSERT(fits,
+                  "ticker overflows the clock (now=%llu, period=%llu, "
+                  "silent=%llu)",
+                  (unsigned long long)now_, (unsigned long long)period,
+                  (unsigned long long)silent);
     t.when_ = now_ + period;
     t.period_ = period;
     t.seq_ = next_seq_++;

@@ -194,7 +194,9 @@ class EventQueue
     /**
      * Arm @p t: its first boundary is now() + @p period, and the first
      * @p silent boundaries pass without a callback.
-     * @pre !t.armed() and period > 0.
+     * @pre !t.armed(), period > 0 and the last boundary,
+     * now() + (silent + 1) * period, is at most kTickMax; a ticker
+     * that would wrap the clock panics.
      */
     void arm(Ticker &t, Tick period, std::uint64_t silent);
 

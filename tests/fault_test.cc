@@ -70,16 +70,16 @@ TEST(FaultModel, LadderIsBoundedAndEscalates)
     flash::FaultSpec spec;
     spec.ucp_rate = 0.9; // fails as often as the clamp allows
     spec.ladder.max_retries = 3;
-    flash::FaultModel m(spec);
+    const Tick t_read = 25 * kUs;
+    flash::FaultModel m(spec, 16384, t_read);
     for (int i = 0; i < 500; ++i)
         ASSERT_LE(m.drawRetries(), 3u);
     // Attempt 0 is the base sense time, exactly; later rungs escalate
     // strictly.
-    const Tick t_read = 25 * kUs;
-    EXPECT_EQ(m.senseTime(t_read, 0), t_read);
+    EXPECT_EQ(m.senseTime(0), t_read);
     Tick prev = t_read;
     for (std::uint32_t k = 1; k <= 3; ++k) {
-        const Tick t = m.senseTime(t_read, k);
+        const Tick t = m.senseTime(k);
         EXPECT_GT(t, prev);
         prev = t;
     }

@@ -487,6 +487,38 @@ TEST(ChannelEngine, ReadsSpreadRoundRobinAcrossDies)
         EXPECT_EQ(ce.die(d).pagesRead(), 2u);
 }
 
+TEST(ChannelEngine, QueuedReadsLandOnTheCursorDieAndTheNext)
+{
+    EventQueue eq;
+    CompletionRouter router(eq);
+    TestClient cl;
+    cl.attach(router);
+    FlashParams p = testParams();
+    p.geometry.chips_per_channel = 2;
+    p.geometry.dies_per_chip = 2;
+    ChannelEngine ce(eq, p, router);
+    // One read moves the round-robin cursor to die 1.
+    ce.submitRead(readJob(cl, 0, p.geometry.page_bytes, true));
+    eq.run();
+    // Four reads fill the read planes of dies 1, 2, 3 and 0; two more
+    // queue behind them.
+    const Tick t0 = eq.now();
+    for (std::uint64_t op = 1; op <= 6; ++op)
+        ce.submitRead(readJob(cl, op, p.geometry.page_bytes, true));
+    EXPECT_EQ(ce.readBacklog(), 2u);
+    // Every plane frees at one tick, when its page moves to the cache
+    // register: the queued jobs go to the cursor die and the one after.
+    eq.runUntil(t0 + p.timing.t_read + p.timing.t_reg_move);
+    EXPECT_EQ(ce.readBacklog(), 0u);
+    EXPECT_FALSE(ce.die(1).canAcceptRead());
+    EXPECT_FALSE(ce.die(2).canAcceptRead());
+    EXPECT_TRUE(ce.die(3).canAcceptRead());
+    EXPECT_TRUE(ce.die(0).canAcceptRead());
+    eq.run();
+    EXPECT_EQ(cl.read_bytes.size(), 7u);
+    EXPECT_EQ(ce.die(3).pagesRead(), 1u);
+}
+
 TEST(ChannelEngine, InterleavesTwoClientsWithTaggedCompletions)
 {
     // Two decode streams share the one channel; each must see exactly
@@ -648,7 +680,7 @@ mixedChannelTrace(bool faults, std::vector<Tick> &done)
     FaultSpec spec;
     spec.ucp_rate = 0.3;
     spec.seed = 11;
-    FaultModel fm(spec, p.geometry.page_bytes);
+    FaultModel fm(spec, p.geometry.page_bytes, p.timing.t_read);
     if (faults)
         ce.setFaultModel(&fm);
     std::vector<ChannelBus::GrantTrace> trace;

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -20,6 +21,7 @@
 #include "core/presets.h"
 #include "core/scheduler.h"
 #include "core/sweep.h"
+#include "common/rng.h"
 #include "ecc/retention.h"
 #include "flash/fault.h"
 #include "flash/placement.h"
@@ -113,14 +115,13 @@ TEST(ReliabilityFaultModel, EccStrengthDrivesUcpAndSenseTime)
 
     // The soft-sense cost: every attempt pays 1 + bits * per_bit.
     EXPECT_DOUBLE_EQ(m.eccSenseScale(), 1.0 + 25 * 0.004);
-    EXPECT_EQ(m.senseTime(30 * kUs, 0),
-              Tick(double(30 * kUs) * (1.0 + 25 * 0.004)));
+    EXPECT_EQ(m.senseTime(0), Tick(double(30 * kUs) * (1.0 + 25 * 0.004)));
     // Without ECC, attempt 0 is the base tR bit-exactly.
     FaultSpec off;
     off.ucp_rate = 0.1;
     const FaultModel legacy(off);
     EXPECT_DOUBLE_EQ(legacy.eccSenseScale(), 1.0);
-    EXPECT_EQ(legacy.senseTime(30 * kUs, 0), 30 * kUs);
+    EXPECT_EQ(legacy.senseTime(0), 30 * kUs);
 }
 
 TEST(ReliabilityFaultModel, PerPlaneDrawFallsBackToUniform)
@@ -216,6 +217,158 @@ TEST(ReliabilityFaultModel, PerPlaneDrawsFollowWearStateChanges)
                        "1001211111012011201111102011002111111111111121"
                        "111110111121212110111110211121111121");
     EXPECT_EQ(m.drawsTaken(), 701u);
+}
+
+/**
+ * The retry ladder with nothing memoized: every rung's failure odds
+ * re-derived from the codeword tail (or the geometric decay) on the
+ * spot, on an Rng seeded like the model's. The memoized FaultModel
+ * must draw exactly what this draws.
+ */
+struct ReferenceLadder
+{
+    FaultSpec spec;
+    std::uint32_t page_bytes;
+    Rng rng;
+    std::uint64_t draws = 0;
+
+    double
+    ucpAt(double age, double pe) const
+    {
+        const ecc::RetentionParams rp;
+        const double ber = ecc::retentionBer(age, pe, rp);
+        if (spec.ecc_correctable_bits > 0)
+            return std::min(ecc::pageUcp(ber, spec.ecc_correctable_bits,
+                                         spec.ecc_codeword_bytes,
+                                         page_bytes),
+                            0.9);
+        return std::min(spec.ucp_rate * (ber / rp.base_ber), 0.9);
+    }
+
+    std::uint32_t
+    climb(double p, double ber)
+    {
+        if (p <= 0.0)
+            return 0;
+        std::uint32_t r = 0;
+        while (r < spec.ladder.max_retries) {
+            ++draws;
+            if (!rng.chance(p))
+                break;
+            ++r;
+            if (spec.ecc_correctable_bits > 0) {
+                ber *= flash::RetryLadder::kRetryFailDecay;
+                p = std::min(ecc::pageUcp(ber, spec.ecc_correctable_bits,
+                                          spec.ecc_codeword_bytes,
+                                          page_bytes),
+                             0.9);
+            } else {
+                p *= flash::RetryLadder::kRetryFailDecay;
+            }
+        }
+        return r;
+    }
+
+    std::uint32_t
+    uniform()
+    {
+        const double ucp0 =
+            spec.ecc_correctable_bits > 0
+                ? ucpAt(spec.retention_hours, spec.pe_cycles)
+                : spec.effectiveUcpRate();
+        return climb(ucp0, ecc::retentionBer(spec.retention_hours,
+                                             spec.pe_cycles));
+    }
+
+    std::uint32_t
+    plane(const WeightPlacement &place, std::size_t idx)
+    {
+        const double pe = place.planeWear(idx);
+        const double age = place.planeAge(idx);
+        const double frac = place.planeFreshFraction(idx);
+        double ucp0 = ucpAt(age, pe);
+        double ber0 = ecc::retentionBer(age, pe);
+        if (frac > 0.0) {
+            ucp0 = (1.0 - frac) * ucp0 + frac * ucpAt(0.0, pe);
+            ber0 = (1.0 - frac) * ber0 + frac * ecc::retentionBer(0.0, pe);
+        }
+        return climb(ucp0, ber0);
+    }
+};
+
+TEST(ReliabilityFaultModel, MemoizedLadderMatchesPerRungReference)
+{
+    FlashGeometry g;
+    g.channels = 2;
+    g.chips_per_channel = 2;
+    g.dies_per_chip = 1;
+    g.planes_per_die = 2;
+    g.blocks_per_plane = 8;
+    g.pages_per_block = 16;
+    const std::uint64_t per_plane =
+        std::uint64_t(g.blocks_per_plane) * g.pages_per_block;
+
+    Rng pick(20241021);
+    std::uint64_t deep_climbs = 0; // draws that passed rung 1
+    for (const bool wear : {false, true}) {
+        for (const std::uint32_t bits : {0u, 16u, 32u, 64u}) {
+            for (const std::uint32_t rungs : {1u, 8u}) {
+                FaultSpec spec;
+                spec.seed = pick.next();
+                spec.retention_hours = 50.0 + 8000.0 * pick.uniform();
+                spec.pe_cycles = 1000.0 + 7000.0 * pick.uniform();
+                spec.ecc_correctable_bits = bits;
+                spec.ucp_rate = bits > 0 ? 0.0 : 0.01 + 0.5 * pick.uniform();
+                spec.ladder.max_retries = rungs;
+                spec.wear_tracking = wear;
+                SCOPED_TRACE(testing::Message()
+                             << "wear " << wear << " ecc " << bits
+                             << " max_retries " << rungs << " seed "
+                             << spec.seed);
+
+                WeightPlacement place(g);
+                place.seedStriped(g.totalPages() / 4);
+                place.seedWear(spec.pe_cycles, 0.6, spec.retention_hours);
+                FaultModel m(spec, g.page_bytes);
+                if (wear)
+                    m.setWearSource(&place);
+                ReferenceLadder ref{spec, g.page_bytes, Rng(spec.seed)};
+
+                for (int batch = 0; batch < 4; ++batch) {
+                    for (int i = 0; i < 400; ++i) {
+                        const auto ch = std::uint32_t(pick.below(g.channels));
+                        const auto die = std::uint32_t(
+                            pick.below(g.diesPerChannel()));
+                        const auto pl =
+                            std::uint32_t(pick.below(g.planes_per_die));
+                        const std::uint32_t want =
+                            wear ? ref.plane(place,
+                                             place.planeIndex(ch, die, pl))
+                                 : ref.uniform();
+                        const std::uint32_t got =
+                            !wear && i % 2 == 0
+                                ? m.drawRetries()
+                                : m.drawRetriesForPlane(ch, die, pl);
+                        ASSERT_EQ(got, want)
+                            << "batch " << batch << " draw " << i;
+                        deep_climbs += got > 1 ? 1 : 0;
+                    }
+                    // Change the wear state between batches: programs
+                    // raise P/E, scrubs raise the refreshed fraction.
+                    for (int k = 0; k < 4; ++k)
+                        place.notePrograms(
+                            pick.below(place.planeCount()),
+                            per_plane * (1 + pick.below(800)));
+                    for (int k = 0; k < 24; ++k)
+                        place.noteRefresh(pick.below(place.planeCount()),
+                                          pick.below(place.planeCount()));
+                }
+                EXPECT_EQ(m.drawsTaken(), ref.draws);
+            }
+        }
+    }
+    // The ladders were climbed, not just entered.
+    EXPECT_GT(deep_climbs, 0u);
 }
 
 // ---------------------------------------------------------------------------

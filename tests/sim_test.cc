@@ -754,6 +754,35 @@ TEST(EventQueueTickerDeath, ArmingAnArmedTickerPanics)
     eq.disarm(t);
 }
 
+TEST(EventQueueTickerDeath, ArmingPastTheClockRangePanics)
+{
+    EventQueue eq;
+    eq.schedule(kTickMax - 1, [] {});
+    eq.step();
+    ASSERT_EQ(eq.now(), kTickMax - 1);
+    EventQueue::Ticker t([](void *) {}, nullptr);
+    // The first boundary would wrap to tick 0.
+    EXPECT_DEATH(eq.arm(t, 2, 0), "overflows the clock");
+    // So would the last silent one, however short the period.
+    EXPECT_DEATH(eq.arm(t, 1, 1), "overflows the clock");
+    EXPECT_DEATH(eq.arm(t, 1, ~std::uint64_t(0)), "overflows the clock");
+    // A ticker whose last boundary lands exactly on kTickMax is fine.
+    eq.arm(t, 1, 0);
+    EXPECT_TRUE(t.armed());
+    eq.disarm(t);
+
+    // Mid-range: now = 2^63 - 1 and period 2, so 2^62 - 1 silent
+    // boundaries plus the firing one reach exactly kTickMax; one more
+    // silent boundary wraps.
+    EventQueue mid;
+    mid.schedule(kTickMax / 2, [] {});
+    mid.step();
+    const std::uint64_t quarter = std::uint64_t(1) << 62;
+    EXPECT_DEATH(mid.arm(t, 2, quarter), "overflows the clock");
+    mid.arm(t, 2, quarter - 1);
+    mid.disarm(t);
+}
+
 // --- same-tick runs: differential test against a naive queue ---------------
 
 /**

@@ -34,7 +34,10 @@ struct ServeRequest
      *  requests put their whole context here). */
     std::uint32_t context = 0;
 
-    /** Decode steps after the first emitted token. */
+    /** Decode steps after the prompt. A prompted request emits its
+     *  first token from the last prefill chunk, so 0 serves a
+     *  prefill-only request; a decode-only request needs at least
+     *  one step, which emits its first token. */
     std::uint32_t decode_tokens = 1;
 
     /** Sim-clock arrival tick. */

@@ -110,7 +110,7 @@ DecodeStream::onCompletion(const flash::Completion &c)
 bool
 DecodeStream::contendedNpu() const
 {
-    return env_.npu && env_.npu->contended();
+    return env_.npu->contended();
 }
 
 const std::vector<std::uint64_t> &

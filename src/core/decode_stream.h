@@ -7,10 +7,9 @@
  * it builds the token's graph, issues read-compute tiles and page
  * reads tagged with its flash ClientId, reacts to tagged completions,
  * and extrapolates the sampled layers to the model's full depth. The
- * event queue, DRAM model, flash system and plan cache are shared —
- * one stream per request is exactly how `core::Scheduler` batches,
- * and a single stream over private resources is the classic
- * single-request engine.
+ * event queue, DRAM model, flash system, NPU arbiter and plan cache
+ * are shared: `core::Scheduler` runs one stream per request over one
+ * device, and CambriconEngine is a batch of one through it.
  */
 
 #ifndef CAMLLM_CORE_DECODE_STREAM_H
@@ -57,8 +56,9 @@ struct StreamCounters
 class DecodeStream
 {
   public:
-    /** Shared simulation environment; everything must outlive the
-     *  stream. In batch mode several streams share one Env set. */
+    /** Shared simulation environment; every pointer is required and
+     *  must outlive the stream. Every stream of a serve() run shares
+     *  one Env set. */
     struct Env
     {
         const CamConfig *cfg = nullptr;
@@ -69,11 +69,10 @@ class DecodeStream
         flash::FlashSystem *fs = nullptr;
 
         /**
-         * Shared-NPU occupancy arbiter; optional. When present and
-         * contended, the stream reserves systolic-array and SFU time
-         * through it instead of overlapping with its neighbors for
-         * free. Null (or a free arbiter) reproduces the historical
-         * infinitely-parallel NPU bit-exactly.
+         * Shared-NPU occupancy arbiter. When contended, the stream
+         * reserves systolic-array and SFU time through it instead of
+         * overlapping with its neighbors for free; a free arbiter
+         * keeps the historical infinitely-parallel NPU bit-exactly.
          */
         NpuArbiter *npu = nullptr;
     };

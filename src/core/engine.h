@@ -1,15 +1,21 @@
 /**
  * @file
- * The Cambricon-LLM end-to-end engine: drives one decode step of an
- * LLM through the flash + NPU co-simulation.
+ * The Cambricon-LLM end-to-end engine: one decode step, one prefill or
+ * one prompt + reply exchange of an LLM through the flash + NPU
+ * co-simulation.
  *
  * Weight GeMVs are split by the tiling planner: the flash share is
  * issued as read-compute tiles (input broadcast, on-die multiply,
  * result return), the NPU share as sliced page reads that fill the
  * channel bubbles. Attention ops stream the KV cache from DRAM; SFU
  * ops run on the NPU. Because every decode layer is identical, the
- * engine simulates a sample of layers and extrapolates the measured
+ * simulation runs a sample of layers and extrapolates the measured
  * steady state to the full depth.
+ *
+ * The engine is a single-request view of core::Scheduler: each call
+ * serves one request on a fresh device and reports the stats of the
+ * step that emitted its first token, so a batch of one through
+ * Scheduler::serve() is the engine by construction.
  */
 
 #ifndef CAMLLM_CORE_ENGINE_H
@@ -80,28 +86,35 @@ struct GenerateStats
     double totalSeconds() const { return ticksToSeconds(total_time); }
 };
 
-/** One-token decode co-simulation for a (config, model) pair. */
+class Scheduler;
+
+/** Single-request decode/prefill co-simulation for a (config, model)
+ *  pair, served through one core::Scheduler. */
 class CambriconEngine
 {
   public:
+    /** Fatal when the config or model is invalid or the weights do not
+     *  fit the flash device (the Scheduler's checks). */
     CambriconEngine(const CamConfig &config, const llm::ModelConfig &model);
+    ~CambriconEngine();
 
-    /** Simulate one decode step and return its statistics. */
+    /** Serve one decode-only request at context config().seq_len and
+     *  return the stats of its decode step. */
     TokenStats decodeToken() const;
 
     /**
-     * Simulate the prefill phase over a @p prompt_len-token prompt:
-     * weights stream through the device once (no in-flash computing —
-     * the batched GeMM runs on the NPU, which is what makes prefill
-     * compute-friendly), attention costs O(prompt^2).
+     * Serve one prefill-only request over a @p prompt_len-token
+     * prompt: weights stream through the device once (no in-flash
+     * computing — the batched GeMM runs on the NPU, which is what
+     * makes prefill compute-friendly), attention costs O(prompt^2).
      */
     TokenStats prefill(std::uint32_t prompt_len) const;
 
     /**
-     * Simulate a whole exchange: prefill of @p prompt_len tokens then
+     * A whole exchange: prefill of @p prompt_len tokens then
      * @p reply_len decode steps with the KV cache growing. Decode cost
      * is affine in context length, so the reply time integrates two
-     * endpoint simulations (trapezoid rule).
+     * endpoint decode steps (trapezoid rule), each served alone.
      */
     GenerateStats generate(std::uint32_t prompt_len,
                            std::uint32_t reply_len) const;
@@ -109,21 +122,17 @@ class CambriconEngine
     /** The tile plan the engine will use for a rows x cols GeMV. */
     TilePlan planFor(std::uint64_t rows, std::uint64_t cols) const;
 
-    const CamConfig &config() const { return config_; }
-    const llm::ModelConfig &model() const { return model_; }
+    const CamConfig &config() const;
+    const llm::ModelConfig &model() const;
 
     /** Total weight bytes touched per decode step. */
     std::uint64_t decodeWeightBytes() const { return decode_weight_bytes_; }
 
-    /** Memoized tile plans shared by every Run this engine spawns. */
-    const PlanCache &planCache() const { return *plan_cache_; }
+    /** The scheduler's memoized tile plans, shared by every call. */
+    const PlanCache &planCache() const;
 
   private:
-    CamConfig config_;
-    llm::ModelConfig model_;
-    // Pointer, not member: built in the ctor body only after the
-    // config/model validity checks have run (fatal(), not panic()).
-    std::unique_ptr<PlanCache> plan_cache_;
+    std::unique_ptr<Scheduler> sched_;
     std::uint64_t decode_weight_bytes_ = 0;
 };
 

@@ -57,7 +57,6 @@ class KvPool
 
     bool bounded() const { return total_blocks_ != kUnbounded; }
     std::uint32_t blockTokens() const { return block_tokens_; }
-    std::uint64_t blockBytes() const { return block_bytes_; }
 
     /** Whole blocks the budget holds (kUnbounded when unbounded). */
     std::uint64_t totalBlocks() const { return total_blocks_; }

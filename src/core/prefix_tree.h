@@ -72,7 +72,6 @@ class PrefixTree
     /** Release every cached reference (drain teardown). */
     void releaseAll();
 
-    std::uint64_t cachedBlocks() const { return cached_; }
     std::uint64_t hitBlocks() const { return hit_blocks_; }
     std::uint64_t insertedBlocks() const { return inserted_; }
     std::uint64_t droppedBlocks() const { return dropped_; }

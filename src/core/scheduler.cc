@@ -225,9 +225,8 @@ class ServeRun
     KvPool pool_;
     PrefixTree tree_;
 
-    // Shared device, same construction order as the single-request
-    // engine so a decode-only FCFS batch of one replays its exact
-    // event sequence.
+    // The shared device; CambriconEngine's single-request calls run
+    // on this same assembly.
     EventQueue eq_;
     npu::DramModel dram_;
     flash::FlashSystem fs_;
@@ -441,15 +440,7 @@ class ServeRun
             tbt_ms_.add(double(s.token_time) / double(kMs));
         }
         ++r.tokens_done;
-        if (r.tokens_done < r.spec.decode_tokens) {
-            startNext(i); // continuous: no batch barrier
-            return;
-        }
-        r.preempt_pending = false; // retiring beats a pending evict
-        retire(i, RequestOutcome::Completed);
-        pool_.release(r.kv);
-        releaseSlot();
-        onFree(); // refill the slot / wake KV waiters, same tick
+        startNext(i); // continuous: no batch barrier
     }
 
     // The policy's next prefill (or recompute) chunk out of @p limit
@@ -475,6 +466,19 @@ class ServeRun
         // fires — the EventQueue cannot cancel — and must be a no-op.
         if (r.finished)
             return;
+        // The one completion rule, for decode and prefill-only
+        // requests alike: prompt prefilled, every decode step done and
+        // no rebuild pending. Retiring beats a pending eviction.
+        if (r.prefill_done >= r.spec.prompt &&
+            r.tokens_done == r.spec.decode_tokens &&
+            r.rebuild_from >= r.rebuild_target) {
+            r.preempt_pending = false;
+            retire(i, RequestOutcome::Completed);
+            pool_.release(r.kv);
+            releaseSlot();
+            onFree(); // refill the slot / wake KV waiters, same tick
+            return;
+        }
         // A pending eviction lands at the next unit boundary — which
         // for a victim that never issued its first unit (deferred
         // start via stagger or arrival) is right here.
@@ -1193,9 +1197,21 @@ Scheduler::Scheduler(const CamConfig &config,
               config_.name.c_str());
     if (!model_.valid())
         fatal("invalid model configuration '%s'", model_.name.c_str());
-    plan_cache_ = std::make_unique<PlanCache>(
-        config_.flash, llm::QuantSpec::of(config_.quant),
-        config_.tilingOptions());
+
+    // Capacity check: all weights must place in the flash device.
+    const auto quant = llm::QuantSpec::of(config_.quant);
+    const auto &g = config_.flash.geometry;
+    const std::uint64_t pages_needed =
+        (quant.weightBytes(model_.totalParams()) + g.page_bytes - 1) /
+        g.page_bytes;
+    if (pages_needed > g.totalPages())
+        fatal("%s (%llu pages of weights) does not fit the flash "
+              "device (%llu pages); add chips or channels",
+              model_.name.c_str(), (unsigned long long)pages_needed,
+              (unsigned long long)g.totalPages());
+
+    plan_cache_ = std::make_unique<PlanCache>(config_.flash, quant,
+                                              config_.tilingOptions());
 }
 
 ServeStats
@@ -1220,8 +1236,11 @@ Scheduler::serve(const std::vector<ServeRequest> &requests,
                       "needs kv_block_tokens >= 1");
     for (std::size_t i = 0; i < requests.size(); ++i) {
         const ServeRequest &r = requests[i];
-        CAMLLM_ASSERT(r.prompt + r.context >= 1 &&
-                      r.decode_tokens >= 1);
+        CAMLLM_ASSERT(r.prompt >= 1 ||
+                          (r.context >= 1 && r.decode_tokens >= 1),
+                      "request %zu needs a prompt, or warm context "
+                      "and a decode step",
+                      i);
         CAMLLM_ASSERT(i == 0 ||
                           r.arrival >= requests[i - 1].arrival,
                       "arrival trace must be time-ordered");

@@ -17,8 +17,8 @@
  *  - DecodeFirstFcfs: FCFS admission; an admitted prompt prefills in
  *    a single whole-prompt chunk. With free NPU arbitration and
  *    decode-only requests this reproduces the recorded golden
- *    decode-only event sequence bit-identically (enforced by tests);
- *    a batch of one replays CambriconEngine::decodeToken().
+ *    decode-only event sequence bit-identically (enforced by tests).
+ *    CambriconEngine is a one-request view of this policy.
  *  - ChunkedInterleave: Sarathi-style token budget; prompts prefill
  *    in chunks of at most `prefill_chunk` tokens, so in-flight decode
  *    tokens interleave with prefill on the shared device instead of
@@ -240,10 +240,9 @@ struct ServeRequestStats
     /**
      * Stats of the step that emitted the first token: the last
      * prefill chunk when prompt > 0, else the first decode step
-     * (bit-identical to CambriconEngine::decodeToken() for a lone
-     * decode-only request at context == seq_len). With batch > 1 the
-     * device-wide fields (channel/DRAM bytes, utilization) cover all
-     * streams over the step's span.
+     * (what CambriconEngine reports for a lone request). With
+     * batch > 1 the device-wide fields (channel/DRAM bytes,
+     * utilization) cover all streams over the step's span.
      */
     TokenStats first_token;
 
@@ -408,6 +407,9 @@ struct ServeStats
 class Scheduler
 {
   public:
+    /** Fatal when the config or model is invalid, or when the model's
+     *  weights do not fit the flash device (the KV cache lives in
+     *  DRAM, not here). */
     Scheduler(const CamConfig &config, const llm::ModelConfig &model);
 
     /**
@@ -426,6 +428,9 @@ class Scheduler
 
     const CamConfig &config() const { return config_; }
     const llm::ModelConfig &model() const { return model_; }
+
+    /** Memoized tile plans shared by every serve() call. */
+    const PlanCache &planCache() const { return *plan_cache_; }
 
   private:
     CamConfig config_;

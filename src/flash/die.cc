@@ -12,16 +12,6 @@ DieModel::pushRcJob(const RcPageJob &job)
     advanceRc();
 }
 
-std::size_t
-DieModel::rcBacklog() const
-{
-    std::size_t n = rc_queue_.size();
-    n += rc_reading_.has_value();
-    n += rc_data_reg_.has_value();
-    n += rc_cache_reg_.has_value();
-    return n;
-}
-
 void
 DieModel::advanceRc()
 {
@@ -57,7 +47,6 @@ DieModel::advanceRc()
         engine_.inputReady(rc_cache_reg_->tile_seq)) {
         core_busy_ = true;
         const Tick dur = rc_cache_reg_->compute_time;
-        core_busy_stat_.addBusy(eq_.now(), eq_.now() + dur);
         eq_.scheduleIn(dur, [this] {
             if (offline_)
                 return;

@@ -52,9 +52,6 @@ class DieModel
     /** Re-evaluate the core (called when an input vector arrives). */
     void notifyInputArrived() { advanceRc(); }
 
-    /** Jobs queued or in flight on the compute plane. */
-    std::size_t rcBacklog() const;
-
     // --- ordinary read stream ---------------------------------------
     /** @return true when the read plane can start another array read. */
     bool canAcceptRead() const;
@@ -84,7 +81,6 @@ class DieModel
     std::uint64_t pagesRead() const { return pages_read_; }
     std::uint64_t arrayReads() const { return array_reads_; }
     std::uint64_t retryReads() const { return retry_reads_; }
-    const BusyTracker &coreBusy() const { return core_busy_stat_; }
 
   private:
     void advanceRc();
@@ -141,7 +137,6 @@ class DieModel
     std::uint64_t pages_read_ = 0;
     std::uint64_t array_reads_ = 0;
     std::uint64_t retry_reads_ = 0;
-    BusyTracker core_busy_stat_;
 };
 
 } // namespace camllm::flash

@@ -77,8 +77,6 @@ class FlashSystem
         channels_[route(ch)]->submitRead(job);
     }
 
-    bool channelAlive(std::uint32_t c) const { return !channels_[c]->offline(); }
-
     /** Channels still serving traffic. */
     std::uint32_t aliveChannels() const;
 

@@ -38,99 +38,6 @@ WeightPlacement::planeChannel(std::size_t idx) const
                                 geometry_.planes_per_die));
 }
 
-PageAddress
-WeightPlacement::allocOnPlane(std::uint32_t channel,
-                              std::uint32_t die_in_channel,
-                              std::uint32_t plane)
-{
-    std::size_t idx = planeIndex(channel, die_in_channel, plane);
-    std::uint32_t cursor = next_page_[idx];
-    CAMLLM_ASSERT(cursor < pages_per_plane_);
-    ++next_page_[idx];
-    ++allocated_;
-    ++programs_[idx];
-
-    PageAddress a;
-    a.channel = channel;
-    a.chip = die_in_channel / geometry_.dies_per_chip;
-    a.die = die_in_channel % geometry_.dies_per_chip;
-    a.plane = plane;
-    a.block = cursor / geometry_.pages_per_block;
-    a.page = cursor % geometry_.pages_per_block;
-    return a;
-}
-
-PageAddress
-WeightPlacement::allocRcPage(std::uint32_t channel,
-                             std::uint32_t die_in_channel)
-{
-    CAMLLM_ASSERT(channel < geometry_.channels);
-    CAMLLM_ASSERT(!channel_dead_[channel],
-                  "allocating on dead channel %u", channel);
-    CAMLLM_ASSERT(die_in_channel < geometry_.diesPerChannel());
-    // Prefer the compute plane (plane 0); spill to later planes when
-    // full so oversized models still place (timing is unaffected,
-    // capacity accounting is what matters here).
-    for (std::uint32_t p = 0; p < geometry_.planes_per_die; ++p) {
-        std::size_t idx = planeIndex(channel, die_in_channel, p);
-        if (next_page_[idx] < pages_per_plane_) {
-            if (p != 0) {
-                warn("rc page spilled to plane %u on channel %u die %u",
-                     p, channel, die_in_channel);
-            }
-            return allocOnPlane(channel, die_in_channel, p);
-        }
-    }
-    fatal("flash die %u on channel %u is full", die_in_channel, channel);
-}
-
-PageAddress
-WeightPlacement::allocReadPage()
-{
-    if (policy_ == WearPolicy::LeastWorn) {
-        // Globally least-worn plane with free space, so read-share
-        // programs flatten the wear profile instead of following the
-        // round-robin cursor.
-        std::size_t best = planeCount();
-        for (std::size_t i = 0; i < planeCount(); ++i) {
-            if (channel_dead_[planeChannel(i)] ||
-                next_page_[i] >= pages_per_plane_)
-                continue;
-            if (best == planeCount() || planeWear(i) < planeWear(best))
-                best = i;
-        }
-        if (best == planeCount())
-            fatal("flash device is full (%llu pages)",
-                  (unsigned long long)allocated_);
-        const std::size_t per_die = geometry_.planes_per_die;
-        const std::size_t die_flat = best / per_die;
-        return allocOnPlane(
-            std::uint32_t(die_flat / geometry_.diesPerChannel()),
-            std::uint32_t(die_flat % geometry_.diesPerChannel()),
-            std::uint32_t(best % per_die));
-    }
-
-    const std::uint64_t n_dies = geometry_.totalDies();
-    for (std::uint64_t probe = 0; probe < n_dies; ++probe) {
-        std::uint64_t d = (rr_cursor_ + probe) % n_dies;
-        auto channel = std::uint32_t(d / geometry_.diesPerChannel());
-        auto die = std::uint32_t(d % geometry_.diesPerChannel());
-        if (channel_dead_[channel])
-            continue;
-        // Fill from the last plane backwards so the compute plane is
-        // consumed only when everything else is full.
-        for (std::uint32_t p = geometry_.planes_per_die; p-- > 0;) {
-            std::size_t idx = planeIndex(channel, die, p);
-            if (next_page_[idx] < pages_per_plane_) {
-                rr_cursor_ = d + 1;
-                return allocOnPlane(channel, die, p);
-            }
-        }
-    }
-    fatal("flash device is full (%llu pages)",
-          (unsigned long long)allocated_);
-}
-
 void
 WeightPlacement::seedStriped(std::uint64_t pages)
 {

@@ -1,20 +1,21 @@
 /**
  * @file
- * Weight placement, capacity accounting and per-plane wear state.
+ * Flash capacity accounting and per-plane wear state.
  *
- * Read-compute pages must live on the die whose core will multiply
- * them (plane 0 by convention); read-share pages are striped across
- * every die's plane 1 so ordinary reads can proceed while the compute
- * plane is busy. Placement is bookkeeping for capacity checks and
- * addressing tests; request timing is driven by the channel queues.
+ * The map counts resident pages per plane; it never assigns page
+ * addresses. The resident weight image is seeded striped evenly
+ * across every plane at boot, a dead channel's pages are spread over
+ * the survivors' free space, and swapped-out KV occupies a reserved
+ * quota. Request timing is driven by the channel queues, not by this
+ * map.
  *
- * Every program/erase this map performs — boot seeding, read-share
- * allocation, dead-channel remap rebuilds, retention-refresh
- * re-writes — increments the target plane's P/E counter, so effective
- * wear grows where writes actually land. The fault layer reads that
- * per-plane wear back through planeWear()/planeAge() to derive each
- * read's uncorrectable-page probability, closing the loop between
- * placement policy and the failure schedule.
+ * Every program/erase this map performs — boot seeding, KV swap-outs,
+ * dead-channel remap rebuilds, retention-refresh re-writes —
+ * increments the target plane's P/E counter, so effective wear grows
+ * where writes actually land. The fault layer reads that per-plane
+ * wear back through planeWear()/planeAge() to derive each read's
+ * uncorrectable-page probability, closing the loop between placement
+ * policy and the failure schedule.
  */
 
 #ifndef CAMLLM_FLASH_PLACEMENT_H
@@ -23,13 +24,12 @@
 #include <cstdint>
 #include <vector>
 
-#include "flash/address.h"
 #include "flash/params.h"
 
 namespace camllm::flash {
 
-/** Placement policy for programs: read-share allocation order,
- *  remap fill order and refresh re-write targets. */
+/** Placement policy for programs: remap fill order, KV swap-out
+ *  targets and refresh re-write targets. */
 enum class WearPolicy : std::uint8_t
 {
     /** Legacy bump/round-robin order (wear-oblivious). */
@@ -40,26 +40,11 @@ enum class WearPolicy : std::uint8_t
     LeastWorn = 1,
 };
 
-/** Per-plane bump allocator over the whole device. */
+/** Per-plane page counts and wear over the whole device. */
 class WeightPlacement
 {
   public:
     explicit WeightPlacement(const FlashGeometry &g);
-
-    /**
-     * Allocate one compute-plane page on channel @p channel, die
-     * @p die_in_channel (0 .. diesPerChannel()-1). Spills to the read
-     * plane with a warning when the compute plane fills. (Compute
-     * pages are die-bound by the tiling, so the wear policy does not
-     * reorder them; it governs read-share, remap and refresh
-     * programs.)
-     */
-    PageAddress allocRcPage(std::uint32_t channel,
-                            std::uint32_t die_in_channel);
-
-    /** Allocate one read-share page: round-robin across all dies
-     *  under Bump, globally least-worn-first under LeastWorn. */
-    PageAddress allocReadPage();
 
     /**
      * Bulk-seed @p pages striped evenly across every plane — the
@@ -98,7 +83,6 @@ class WeightPlacement
      */
     void reserveKvRegion(std::uint64_t pages);
 
-    std::uint64_t kvRegionPages() const { return kv_region_pages_; }
     std::uint64_t kvLivePages() const { return kv_live_pages_; }
 
     /**
@@ -197,15 +181,10 @@ class WeightPlacement
     double wearMaxPe() const;
 
   private:
-    PageAddress allocOnPlane(std::uint32_t channel,
-                             std::uint32_t die_in_channel,
-                             std::uint32_t plane);
-
     FlashGeometry geometry_;
-    std::vector<std::uint32_t> next_page_; ///< per-plane bump cursor
+    std::vector<std::uint32_t> next_page_; ///< resident pages per plane
     std::vector<bool> channel_dead_;
     std::uint64_t allocated_ = 0;
-    std::uint64_t rr_cursor_ = 0;
     std::uint64_t retired_pages_ = 0;
     std::uint32_t pages_per_plane_;
 

@@ -276,15 +276,6 @@ kvSegmentBytes(const KvView &view, std::uint64_t bytes,
 }
 
 DecodeGraph
-buildPrefillGraph(const ModelConfig &model, std::uint32_t prompt_len,
-                  const QuantSpec &quant, std::uint32_t layers_to_build)
-{
-    return buildPrefillChunkGraph(model, prompt_len, /*kv_base=*/0,
-                                  quant, layers_to_build,
-                                  /*last_chunk=*/true);
-}
-
-DecodeGraph
 buildPrefillChunkGraph(const ModelConfig &model, std::uint32_t chunk_len,
                        std::uint32_t kv_base, const QuantSpec &quant,
                        std::uint32_t layers_to_build, bool last_chunk)

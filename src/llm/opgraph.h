@@ -92,29 +92,16 @@ DecodeGraph buildDecodeGraph(const ModelConfig &model, std::uint32_t seq,
                              std::uint32_t layers_to_build);
 
 /**
- * Build the prefill graph over a @p prompt_len-token prompt: the same
- * weight GeMVs (weights stream through the device once, multiplied
- * against every position — npu_compute_scale = prompt_len), causal
- * attention of O(prompt^2) flops, and SFU work scaled by the prompt.
- * Equivalent to buildPrefillChunkGraph(model, prompt_len, 0, ...,
- * last_chunk = true) — the whole prompt as one chunk.
- */
-DecodeGraph buildPrefillGraph(const ModelConfig &model,
-                              std::uint32_t prompt_len,
-                              const QuantSpec &quant,
-                              std::uint32_t layers_to_build);
-
-/**
  * Build one chunk of a chunked prefill: @p chunk_len prompt positions
  * processed on top of @p kv_base tokens whose K/V entries earlier
- * chunks already wrote. Weights stream once per chunk
- * (npu_compute_scale = chunk_len), the chunk appends its own KV
- * entries, and attention spans the full kv_base + chunk_len context.
- * Only the last chunk (@p last_chunk) carries the final norm and the
- * lm_head projection — that completion emits the request's first
- * token. With kv_base == 0 and last_chunk the graph is identical to
- * buildPrefillGraph(model, chunk_len, ...): one-chunk prefill
- * reproduces the whole-prompt prefill bit-exactly.
+ * chunks already wrote. The chunk has the decode graph's weight GeMVs
+ * (weights stream through the device once, multiplied against every
+ * position — npu_compute_scale = chunk_len), appends its own KV
+ * entries, charges causal attention over the full kv_base + chunk_len
+ * context, and scales SFU work by the chunk. Only the last chunk
+ * (@p last_chunk) carries the final norm and the lm_head projection —
+ * that completion emits the request's first token. kv_base == 0 with
+ * last_chunk is the whole prompt as one chunk (one-shot prefill).
  */
 DecodeGraph buildPrefillChunkGraph(const ModelConfig &model,
                                    std::uint32_t chunk_len,

@@ -79,9 +79,6 @@ class UnitOccupancy
      */
     Tick reserve(Tick now, Tick busy);
 
-    /** Tick at which all granted work drains. */
-    Tick freeAt() const { return free_at_; }
-
     /** Fraction of [0, elapsed) the unit was reserved. */
     double
     utilization(Tick elapsed) const

@@ -2,7 +2,8 @@
  * @file
  * Tests for the end-to-end Cambricon-LLM engine: determinism,
  * conservation of weight traffic, analytic-throughput agreement,
- * ablation orderings and extrapolation correctness.
+ * ablation orderings, extrapolation correctness and golden decode
+ * and prefill stats.
  */
 
 #include <gtest/gtest.h>
@@ -26,6 +27,32 @@ TEST(Engine, Deterministic)
     EXPECT_EQ(a.token_time, b.token_time);
     EXPECT_EQ(a.channel_bytes_high, b.channel_bytes_high);
     EXPECT_EQ(a.dram_bytes, b.dram_bytes);
+}
+
+// Golden decode and prefill stats on presetS x OPT-6.7B, recorded
+// when the engine still assembled its own device apart from
+// Scheduler::serve(). The engine is now a one-request view of the
+// scheduler, so these numbers are the independent reference that
+// both paths must keep reproducing to the tick and the byte.
+TEST(Engine, DecodeAndPrefillReproduceGoldenStats)
+{
+    const CambriconEngine e(presetS(), llm::opt6_7b());
+
+    const TokenStats d = e.decodeToken();
+    EXPECT_EQ(d.token_time, 286591615u);
+    EXPECT_EQ(d.pages_computed, 279520u);
+    EXPECT_EQ(d.pages_read, 126264u);
+    EXPECT_EQ(d.dram_bytes, 134479872u);
+    EXPECT_EQ(d.channel_bytes_high, 35878912u);
+    EXPECT_EQ(d.channel_bytes_low, 2068709376u);
+
+    const TokenStats p = e.prefill(512);
+    EXPECT_EQ(p.token_time, 3083208176u);
+    EXPECT_EQ(p.pages_computed, 0u);
+    EXPECT_EQ(p.pages_read, 405784u);
+    EXPECT_EQ(p.dram_bytes, 268435456u);
+    EXPECT_EQ(p.channel_bytes_high, 0u);
+    EXPECT_EQ(p.channel_bytes_low, 6648365056u);
 }
 
 TEST(Engine, WeightTrafficConservation)

@@ -12,7 +12,6 @@
 #include <map>
 #include <vector>
 
-#include "flash/address.h"
 #include "flash/channel_engine.h"
 #include "flash/flash_system.h"
 #include "flash/placement.h"
@@ -158,39 +157,6 @@ TEST(FlashTiming, ExplicitGopsCompute)
     FlashTiming t;
     t.core_gops = 4.0; // 4 ops per ns
     EXPECT_EQ(t.computeTime(16384, 16384), Tick(2 * 16384 / 4));
-}
-
-// --- addressing -------------------------------------------------------------
-
-TEST(PageIndexer, RoundTripExhaustiveSmall)
-{
-    FlashGeometry g = testParams().geometry;
-    PageIndexer ix(g);
-    for (std::uint64_t i = 0; i < ix.totalPages(); ++i) {
-        PageAddress a = ix.toAddress(i);
-        EXPECT_TRUE(a.validFor(g));
-        EXPECT_EQ(ix.toLinear(a), i);
-    }
-}
-
-TEST(PageIndexer, ChannelIsSlowestCoordinate)
-{
-    FlashGeometry g;
-    g.channels = 4;
-    PageIndexer ix(g);
-    PageAddress a = ix.toAddress(0);
-    EXPECT_EQ(a.channel, 0u);
-    PageAddress b = ix.toAddress(ix.totalPages() - 1);
-    EXPECT_EQ(b.channel, 3u);
-}
-
-TEST(PageAddress, ValidityBounds)
-{
-    FlashGeometry g = testParams().geometry;
-    PageAddress a;
-    EXPECT_TRUE(a.validFor(g));
-    a.plane = 2;
-    EXPECT_FALSE(a.validFor(g));
 }
 
 // --- channel bus ------------------------------------------------------------
@@ -1153,63 +1119,31 @@ TEST(FlashSystem, UtilizationBetweenZeroAndOne)
 
 // --- placement --------------------------------------------------------------
 
-TEST(WeightPlacement, RcPagesLandOnComputePlane)
-{
-    WeightPlacement wp(testParams().geometry);
-    PageAddress a = wp.allocRcPage(0, 0);
-    EXPECT_EQ(a.plane, 0u);
-    EXPECT_EQ(a.block, 0u);
-    EXPECT_EQ(a.page, 0u);
-    PageAddress b = wp.allocRcPage(0, 0);
-    EXPECT_EQ(b.page, 1u);
-}
-
-TEST(WeightPlacement, ReadPagesAvoidComputePlane)
-{
-    WeightPlacement wp(testParams().geometry);
-    PageAddress a = wp.allocReadPage();
-    EXPECT_EQ(a.plane, 1u); // last plane first
-}
-
-TEST(WeightPlacement, RoundRobinAcrossDies)
-{
-    FlashGeometry g = testParams().geometry;
-    g.channels = 2;
-    g.chips_per_channel = 2;
-    WeightPlacement wp(g);
-    PageAddress a = wp.allocReadPage();
-    PageAddress b = wp.allocReadPage();
-    PageAddress c = wp.allocReadPage();
-    // Different dies for consecutive pages.
-    EXPECT_FALSE(a.channel == b.channel && a.chip == b.chip &&
-                 a.die == b.die);
-    EXPECT_FALSE(b.channel == c.channel && b.chip == c.chip &&
-                 b.die == c.die);
-}
-
 TEST(WeightPlacement, OccupancyTracksAllocations)
 {
     WeightPlacement wp(testParams().geometry);
     const std::uint64_t cap = wp.capacityPages();
-    for (std::uint64_t i = 0; i < cap / 2; ++i)
-        wp.allocReadPage();
+    wp.seedStriped(cap / 2);
+    EXPECT_EQ(wp.pagesAllocated(), cap / 2);
     EXPECT_DOUBLE_EQ(wp.occupancy(), 0.5);
     EXPECT_EQ(wp.freePages(), cap / 2);
 }
 
 TEST(WeightPlacement, FillsEntireDeviceWithoutOverlap)
 {
+    // A full image lands exactly one plane's worth on every plane:
+    // each channel holds its own capacity and not a page more.
     FlashGeometry g = testParams().geometry;
+    g.channels = 2;
+    g.chips_per_channel = 2;
     WeightPlacement wp(g);
-    PageIndexer ix(g);
-    std::vector<bool> seen(ix.totalPages(), false);
-    for (std::uint64_t i = 0; i < ix.totalPages(); ++i) {
-        PageAddress a = wp.allocReadPage();
-        std::uint64_t lin = ix.toLinear(a);
-        EXPECT_FALSE(seen[lin]);
-        seen[lin] = true;
-    }
+    wp.seedStriped(g.totalPages());
     EXPECT_EQ(wp.freePages(), 0u);
+    EXPECT_DOUBLE_EQ(wp.occupancy(), 1.0);
+    for (std::uint32_t c = 0; c < g.channels; ++c)
+        EXPECT_EQ(wp.pagesOnChannel(c), g.totalPages() / g.channels)
+            << c;
+    EXPECT_DEATH(wp.seedStriped(1), "seeding 1 pages into 0 free");
 }
 
 } // namespace

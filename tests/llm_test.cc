@@ -244,30 +244,44 @@ TEST(OpGraph, RebindSeqMatchesFreshBuild)
     }
 }
 
-// One chunk covering the whole prompt with no prior KV must be the
-// prefill graph, op for op — the identity behind the scheduler's
-// "one-chunk prefill reproduces CambriconEngine::prefill()" check.
-TEST(OpGraph, OneChunkPrefillMatchesWholePrompt)
+// Splitting a prompt charges its causal attention, KV appends and SFU
+// work exactly once: two 320-token chunks sum to the 640-token
+// one-chunk prefill op for op, while each chunk streams every weight
+// matrix again at its own share of the compute scale.
+TEST(OpGraph, SplitPrefillChargesTheWholePromptOnce)
 {
     for (const ModelConfig &m : {opt6_7b(), llama2_70b()}) {
         const QuantSpec q = QuantSpec::of(QuantMode::W8A8);
-        const DecodeGraph whole = buildPrefillGraph(m, 640, q, 4);
-        const DecodeGraph chunk =
-            buildPrefillChunkGraph(m, 640, /*kv_base=*/0, q, 4,
-                                   /*last_chunk=*/true);
-        ASSERT_EQ(whole.ops.size(), chunk.ops.size());
-        for (std::size_t i = 0; i < whole.ops.size(); ++i) {
-            const Op &a = whole.ops[i];
-            const Op &b = chunk.ops[i];
-            EXPECT_EQ(a.kind, b.kind) << i;
-            EXPECT_EQ(a.name, b.name) << i;
-            EXPECT_EQ(a.rows, b.rows) << i;
-            EXPECT_EQ(a.cols, b.cols) << i;
-            EXPECT_EQ(a.kv_bytes, b.kv_bytes) << i;
-            EXPECT_EQ(a.flops, b.flops) << i;
-            EXPECT_EQ(a.sfu_elems, b.sfu_elems) << i;
-            EXPECT_EQ(a.npu_compute_scale, b.npu_compute_scale) << i;
-            EXPECT_EQ(a.deps, b.deps) << i;
+        const DecodeGraph whole =
+            buildPrefillChunkGraph(m, 640, /*kv_base=*/0, q, 4);
+        const DecodeGraph head =
+            buildPrefillChunkGraph(m, 320, /*kv_base=*/0, q, 4,
+                                   /*last_chunk=*/false);
+        const DecodeGraph tail =
+            buildPrefillChunkGraph(m, 320, /*kv_base=*/320, q, 4);
+        ASSERT_EQ(tail.ops.size(), whole.ops.size());
+        ASSERT_EQ(head.ops.size() + 2, whole.ops.size()); // no head
+        for (std::size_t i = 0; i < head.ops.size(); ++i) {
+            const Op &w = whole.ops[i];
+            const Op &a = head.ops[i];
+            const Op &b = tail.ops[i];
+            EXPECT_EQ(a.name, w.name) << i;
+            EXPECT_EQ(b.name, w.name) << i;
+            EXPECT_EQ(a.rows, w.rows) << i;
+            EXPECT_EQ(b.cols, w.cols) << i;
+            EXPECT_EQ(a.sfu_elems + b.sfu_elems, w.sfu_elems) << i;
+            if (w.kind == OpKind::KvLoadCompute) {
+                EXPECT_DOUBLE_EQ(a.flops + b.flops, w.flops) << i;
+            }
+            if (w.kind == OpKind::KvAppend) {
+                EXPECT_EQ(a.kv_bytes + b.kv_bytes, w.kv_bytes) << i;
+            }
+            if (w.kind == OpKind::GemvWeight) {
+                EXPECT_DOUBLE_EQ(a.npu_compute_scale +
+                                     b.npu_compute_scale,
+                                 w.npu_compute_scale)
+                    << i;
+            }
         }
     }
 }

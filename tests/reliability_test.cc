@@ -402,25 +402,31 @@ TEST(WearState, ProgramsAddAmortizedWear)
     EXPECT_EQ(place.totalPrograms(), per_plane);
 }
 
-TEST(WearState, LeastWornPolicySteersReadAllocation)
+TEST(WearState, LeastWornPolicySteersKvPrograms)
 {
     FlashGeometry g;
+    const double one = 1.0 / (double(g.blocks_per_plane) *
+                              g.pages_per_block); // one program's wear
+    WeightPlacement seeded(g);
+    seeded.seedWear(2000.0, 0.5, 0.0);
+
     WeightPlacement bump(g);
     bump.seedWear(2000.0, 0.5, 0.0);
-    // Bump fills from the round-robin cursor, last plane backwards.
-    const flash::PageAddress a = bump.allocReadPage();
-    EXPECT_EQ(a.plane, g.planes_per_die - 1);
+    bump.reserveKvRegion(4);
+    // Bump programs follow the round-robin cursor: plane 0, then 1.
+    ASSERT_TRUE(bump.kvProgram(2));
+    EXPECT_DOUBLE_EQ(bump.planeWear(0), seeded.planeWear(0) + one);
+    EXPECT_DOUBLE_EQ(bump.planeWear(1), seeded.planeWear(1) + one);
 
     WeightPlacement lev(g);
     lev.seedWear(2000.0, 0.5, 0.0);
     lev.setWearPolicy(WearPolicy::LeastWorn);
-    // Least-worn goes to the bottom of the wear gradient instead.
-    const flash::PageAddress b = lev.allocReadPage();
-    EXPECT_EQ(b.channel, 0u);
-    EXPECT_EQ(b.plane, 0u);
-    EXPECT_DOUBLE_EQ(lev.planeWear(0),
-                     1000.0 + 1.0 / (double(g.blocks_per_plane) *
-                                     g.pages_per_block));
+    lev.reserveKvRegion(4);
+    // Least-worn keeps landing on the bottom of the wear gradient.
+    ASSERT_TRUE(lev.kvProgram(2));
+    EXPECT_DOUBLE_EQ(lev.planeWear(0), 1000.0 + 2.0 * one);
+    EXPECT_DOUBLE_EQ(lev.planeWear(1), seeded.planeWear(1));
+    EXPECT_EQ(lev.totalPrograms(), 2u);
 }
 
 TEST(WearState, RefreshBookkeepingTracksFreshnessAndPrograms)

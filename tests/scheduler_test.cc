@@ -4,10 +4,10 @@
  * bit-exactness against recorded golden stats and (at batch one)
  * against CambriconEngine::decodeToken(), admission waves and
  * throughput/fairness under concurrency, one-chunk prefill
- * equivalence with CambriconEngine::prefill(), chunked-prefill
- * determinism across sweep-thread settings, Poisson trace replay
- * determinism, TTFT monotonicity in the chunk budget, and the NPU
- * contention model.
+ * equivalence with CambriconEngine::prefill(), prefill-only requests,
+ * the weight-capacity check, chunked-prefill determinism across
+ * sweep-thread settings, Poisson trace replay determinism, TTFT
+ * monotonicity in the chunk budget, and the NPU contention model.
  */
 
 #include <gtest/gtest.h>
@@ -144,9 +144,9 @@ TEST(Scheduler, DecodeOnlyFcfsReproducesPr2GoldenStats)
     }
 }
 
-// A lone one-token decode-only request at context == seq_len replays
-// CambriconEngine::decodeToken() bit-identically (same device
-// construction order, same graph, same event sequence).
+// A lone one-token decode-only request at context == seq_len is what
+// CambriconEngine::decodeToken() serves, so the two agree by
+// construction at any max_batch (engine_test pins the numbers).
 TEST(Scheduler, DecodeOnlyBatchOfOneMatchesDecodeTokenBitExactly)
 {
     const CamConfig cfg = presetS();
@@ -243,8 +243,8 @@ TEST(Scheduler, DecodeOnlyConcurrencyRaisesAggregateThroughput)
 }
 
 // A single request whose whole prompt prefills as one chunk must
-// replay CambriconEngine::prefill() bit-identically (same device
-// construction order, same graph, same event sequence).
+// replay CambriconEngine::prefill() bit-identically: the decode step
+// that follows the chunk cannot reach back into its stats.
 TEST(Scheduler, OneChunkPrefillMatchesEnginePrefillBitExactly)
 {
     const CamConfig cfg = presetS();
@@ -267,6 +267,107 @@ TEST(Scheduler, OneChunkPrefillMatchesEnginePrefillBitExactly)
     EXPECT_EQ(r.prefill_time, single.token_time);
     EXPECT_GT(r.total_token_time, 0u); // plus one decode step
     EXPECT_GT(ss.prefill_channel_bytes, 0u);
+}
+
+// A prefill-only request (decode_tokens = 0) retires on the tick its
+// last chunk emits the first token: one token, no decode step, no
+// TBT sample, whichever policy chunks the prompt.
+TEST(Scheduler, PrefillOnlyRequestEmitsOneTokenAndRetires)
+{
+    const CamConfig cfg = presetS();
+    const llm::ModelConfig model = llm::opt6_7b();
+    const Scheduler sched(cfg, model);
+    for (const SchedPolicy policy :
+         {SchedPolicy::DecodeFirstFcfs, SchedPolicy::ChunkedInterleave}) {
+        SchedOptions opt;
+        opt.policy = policy;
+        opt.prefill_chunk = 128;
+        const ServeStats ss = sched.serve({{384, 0, 0, 0}}, opt);
+        ASSERT_EQ(ss.requests.size(), 1u);
+        const ServeRequestStats &r = ss.requests[0];
+        EXPECT_EQ(r.outcome, RequestOutcome::Completed);
+        EXPECT_EQ(r.tokens_emitted, 1u);
+        EXPECT_EQ(r.prefill_chunks,
+                  policy == SchedPolicy::ChunkedInterleave ? 3u : 1u);
+        EXPECT_EQ(r.total_token_time, 0u);
+        EXPECT_EQ(r.mean_tbt_ms, 0.0);
+        EXPECT_GT(r.ttft_ms, 0.0);
+        EXPECT_EQ(r.finish_tick, r.first_token_tick);
+        EXPECT_EQ(r.finish_tick, ss.sim_makespan);
+        EXPECT_EQ(ss.completed, 1u);
+        EXPECT_EQ(ss.total_tokens, 1u);
+        EXPECT_EQ(ss.ttft.n, 1u);
+        EXPECT_EQ(ss.tbt.n, 0u);
+        EXPECT_EQ(ss.decode_channel_bytes, 0u);
+    }
+}
+
+// Prefill-only requests share a bounded KV pool with decode requests:
+// they are evicted and rebuilt like any other run, and the one
+// completion rule keeps the outcome count, the token count, the TBT
+// samples and the drain audit in balance.
+TEST(Scheduler, PrefillOnlyMixesWithDecodeUnderBoundedKv)
+{
+    const CamConfig cfg = presetS();
+    const llm::ModelConfig model = llm::opt6_7b();
+    const std::vector<ServeRequest> reqs = {
+        {0, 64, 24, 0}, {96, 0, 0, 0}, {48, 0, 8, 0},
+        {80, 0, 0, 0},  {0, 48, 4, 0}, {64, 0, 0, 0},
+    };
+    SchedOptions opt;
+    opt.max_batch = 4;
+    opt.policy = SchedPolicy::ChunkedInterleave;
+    opt.prefill_chunk = 32;
+    opt.kv_block_tokens = 16;
+    // One token's full-depth KV at 8-bit activations, times 10 blocks.
+    opt.kv_budget_bytes =
+        10 * 16 * std::uint64_t(model.kvDim()) * model.n_layers;
+    const ServeStats ss = Scheduler(cfg, model).serve(reqs, opt);
+
+    ASSERT_EQ(ss.requests.size(), reqs.size());
+    // The first prefill-only request is evicted mid-prompt and
+    // recomputes its KV before it can finish.
+    EXPECT_GT(ss.requests[1].preemptions, 0u);
+    EXPECT_GT(ss.requests[1].recompute_chunks, 0u);
+    EXPECT_EQ(ss.completed, reqs.size());
+    EXPECT_EQ(ss.kv_block_allocs, ss.kv_block_frees);
+    std::uint64_t tokens = 0, tbt_samples = 0;
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+        const ServeRequest &q = reqs[i];
+        const ServeRequestStats &r = ss.requests[i];
+        EXPECT_EQ(r.outcome, RequestOutcome::Completed) << i;
+        EXPECT_EQ(r.tokens_emitted,
+                  q.decode_tokens + (q.prompt > 0 ? 1u : 0u))
+            << i;
+        if (q.decode_tokens == 0) {
+            EXPECT_EQ(r.total_token_time, 0u) << i;
+            EXPECT_EQ(r.finish_tick, r.first_token_tick) << i;
+        }
+        tokens += r.tokens_emitted;
+        tbt_samples += q.decode_tokens - (q.prompt == 0 ? 1u : 0u);
+    }
+    EXPECT_EQ(ss.total_tokens, tokens);
+    EXPECT_EQ(ss.ttft.n, reqs.size());
+    EXPECT_EQ(ss.tbt.n, tbt_samples);
+}
+
+// The Scheduler refuses a model whose weights do not fit the flash
+// device, so serving never simulates one (Llama2-70B needs ~4.2M
+// pages; one channel of one chip has ~2.1M).
+TEST(SchedulerDeath, WeightsLargerThanFlashAreFatal)
+{
+    EXPECT_EXIT(
+        { const Scheduler s(presetCustom(1, 1), llm::llama2_70b()); },
+        ::testing::ExitedWithCode(1), "does not fit");
+}
+
+// Only a prompted request may skip decoding: a decode-only request
+// with no decode step would emit nothing.
+TEST(SchedulerDeath, DecodeOnlyRequestWithoutStepsIsRejected)
+{
+    const Scheduler sched(presetS(), llm::opt6_7b());
+    EXPECT_DEATH(sched.serve({{0, 256, 0, 0}}, SchedOptions{}),
+                 "needs a prompt");
 }
 
 // Splitting the same prompt into chunks must conserve the KV it

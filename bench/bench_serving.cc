@@ -66,9 +66,11 @@
  * Usage: bench_serving [--smoke] [--arrivals] [--kv-sweep]
  *                      [--fault-sweep] [--reliability-sweep]
  *                      [--fleet-sweep]
- *   --smoke       CI subset: batches {1,4}, contended batch 4, the
- *                 SLO smoke scenario, one KV budget point, one fault
- *                 point and one reliability point.
+ *   --smoke       CI subset: batches {1,4} and contended batch 4 over
+ *                 the full run's 16 requests, the SLO smoke scenario,
+ *                 one KV budget point, one fault point and one
+ *                 reliability point. Every key it writes except
+ *                 wall_clock_s equals the full run's.
  *   --arrivals    arrival-driven sections only (skips batch sweeps).
  *   --kv-sweep    KV capacity sweep only.
  *   --fault-sweep fault sweep only.
@@ -194,7 +196,7 @@ main(int argc, char **argv)
     if (!arrivals_only && !kv_only && !fault_only && !rel_only &&
         !fleet_only) {
         const std::vector<core::ServeRequest> reqs =
-            mixedWorkload(smoke ? 8 : 16, 1);
+            mixedWorkload(16, 1);
         const std::vector<std::uint32_t> batches =
             smoke ? std::vector<std::uint32_t>{1, 4}
                   : std::vector<std::uint32_t>{1, 2, 4, 8, 16};
@@ -288,8 +290,8 @@ main(int argc, char **argv)
         // Contention must not speed the device up materially.
         // (Serializing array time can decorrelate the streams' layer
         // phases and nudge the mean rate up a fraction of a percent —
-        // the same resonance effect admission_stagger exists for — so
-        // the check carries 2% headroom.)
+        // streams admitted together otherwise contend on the DRAM in
+        // lockstep — so the check carries 2% headroom.)
         bool contention_sane = true;
         for (std::size_t j = 0; j < nbatches.size(); ++j) {
             std::size_t bi = batches.size();
@@ -737,7 +739,6 @@ main(int argc, char **argv)
             opt.npu_contention = false;
             opt.request_deadline = 60 * kSec;
             opt.slo_ttft_ms = 300000.0; // 300 s extrapolated
-            opt.degrade = core::DegradePolicy::ShedNewest;
             opt.faults.ucp_rate = ucp;
             opt.faults.seed = 17;
             if (loss == 1)
@@ -906,7 +907,6 @@ main(int argc, char **argv)
             opt.npu_contention = false; // see the fault sweep's note
             opt.request_deadline = 60 * kSec;
             opt.slo_ttft_ms = 300000.0;
-            opt.degrade = core::DegradePolicy::ShedNewest;
             opt.faults.seed = 17;
             opt.faults.retention_hours = 500.0;
             opt.faults.pe_cycles = 2000.0;
@@ -1058,10 +1058,10 @@ main(int argc, char **argv)
 
             // Inert co-design knobs must not perturb a PR 6-style
             // fault timeline: with wear tracking off, ECC strength 0
-            // and refresh off, setting the passive knobs (skew,
-            // codeword size, sense adder) replays the same serve
-            // bit-identically — the gating, not just the defaults, is
-            // what keeps the legacy fault sweep byte-stable.
+            // and refresh off, setting the passive wear skew replays
+            // the same serve bit-identically — the gating, not just
+            // the defaults, is what keeps the legacy fault sweep
+            // byte-stable.
             core::SchedOptions legacy;
             legacy.max_batch = 4;
             legacy.policy = core::SchedPolicy::ChunkedInterleave;
@@ -1069,7 +1069,6 @@ main(int argc, char **argv)
             legacy.npu_contention = false;
             legacy.request_deadline = 60 * kSec;
             legacy.slo_ttft_ms = 300000.0;
-            legacy.degrade = core::DegradePolicy::ShedNewest;
             legacy.faults.ucp_rate = 0.05;
             legacy.faults.retention_hours = 1000.0;
             legacy.faults.pe_cycles = 1500.0;
@@ -1077,8 +1076,6 @@ main(int argc, char **argv)
             legacy.faults.addOffline(0, 5 * kSec);
             core::SchedOptions inert = legacy;
             inert.faults.wear_skew = 0.6;
-            inert.faults.ecc_codeword_bytes = 2048;
-            inert.faults.ecc_sense_per_bit = 0.02;
             const auto pair = sweep.map<core::ServeStats>(
                 2, [&](std::size_t i) {
                     return sched.serve(smoke_trace,

@@ -220,7 +220,6 @@ main()
 
     aged.request_deadline = 12 * kSec;
     aged.slo_ttft_ms = sound.ttft.p95_ms;
-    aged.degrade = DegradePolicy::ShedNewest;
     aged.faults.ucp_rate = 0.05;
     aged.faults.seed = 7;
     aged.faults.addOffline(0, 4 * kSec);

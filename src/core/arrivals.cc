@@ -18,8 +18,8 @@ ArrivalTrace::poisson(double rate_per_s, std::size_t n_requests,
     CAMLLM_ASSERT(n_requests > 0);
     CAMLLM_ASSERT(!shapes.empty());
     for (const RequestShape &s : shapes)
-        CAMLLM_ASSERT(s.first > 0 && s.second >= 1,
-                      "poisson shapes need prompt >= 1, decode >= 1");
+        CAMLLM_ASSERT((ServeRequest{s.first, 0, s.second}.servable()),
+                      "poisson shapes need a prompt");
 
     Rng rng(seed);
     ArrivalTrace t;
@@ -64,8 +64,7 @@ ArrivalTrace::fromFile(const std::string &path)
                   "[context]'",
                   path.c_str(), lineno);
         ls >> r.context; // optional; stays 0 when absent
-        CAMLLM_ASSERT(arrival_us >= 0.0 && r.decode_tokens >= 1 &&
-                          r.prompt + r.context >= 1,
+        CAMLLM_ASSERT(arrival_us >= 0.0 && r.servable(),
                       "%s:%zu: invalid request", path.c_str(), lineno);
         r.arrival = Tick(arrival_us * double(kUs) + 0.5);
         CAMLLM_ASSERT(r.arrival >= prev,

@@ -60,6 +60,15 @@ struct ServeRequest
      *  blocks inside this span (and strictly inside the prompt, so
      *  the last chunk still emits the first token) are shared. */
     std::uint32_t prefix_tokens = 0;
+
+    /** The one request-validity rule, shared by serve() and every
+     *  trace source: a prompt (whose last chunk emits the first
+     *  token), or warm context and a decode step to emit it. */
+    bool
+    servable() const
+    {
+        return prompt >= 1 || (context >= 1 && decode_tokens >= 1);
+    }
 };
 
 /** A (prompt, decode_tokens) request shape for synthetic traces. */
@@ -74,7 +83,8 @@ class ArrivalTrace
     /**
      * Seeded Poisson process: exponential inter-arrival times at
      * @p rate_per_s requests per simulated second, each request's
-     * shape drawn uniformly from @p shapes. Identical seeds replay
+     * shape drawn uniformly from @p shapes (each must make a
+     * ServeRequest::servable() request). Identical seeds replay
      * bit-identical traces on every platform (xoshiro256**, portable
      * distributions).
      */
@@ -87,7 +97,8 @@ class ArrivalTrace
      * Replay a trace file: one request per non-comment line,
      * whitespace-separated `arrival_us prompt decode_tokens
      * [context]`. Lines starting with '#' are skipped. Arrivals must
-     * be non-decreasing.
+     * be non-negative and non-decreasing, and every request
+     * ServeRequest::servable().
      */
     static ArrivalTrace fromFile(const std::string &path);
 

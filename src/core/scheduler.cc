@@ -182,7 +182,6 @@ class ServeRun
         }
 
         admit();
-        initial_wave_ = false;
         eq_.run();
         CAMLLM_ASSERT(exited() == runs_.size(),
                       "request accounting out of balance: %u completed "
@@ -240,7 +239,6 @@ class ServeRun
     std::size_t next_admit_ = 0;
     std::uint32_t active_ = 0;
     bool wake_pending_ = false;
-    bool initial_wave_ = true;
     SampleSet tbt_ms_;
 
     std::unordered_map<std::uint64_t, SwapIn> swap_inflight_; ///< by op id
@@ -252,7 +250,6 @@ class ServeRun
     // prefill/recompute chunk. Zero until the first chunk lands, so
     // the first admissions are never shed blind.
     double prefill_ms_per_tok_ = 0.0;
-    double degrade_scale_ = 1.0; ///< ProportionalSlowdown chunk scale
 
     // --- run lifecycle -------------------------------------------------
 
@@ -445,25 +442,20 @@ class ServeRun
 
     // The policy's next prefill (or recompute) chunk out of @p limit
     // tokens of work: FCFS takes all of it at once; the chunked
-    // policy caps it at its token budget, which ProportionalSlowdown
-    // degradation shrinks under overload (floor 16) instead of
-    // shedding arrivals.
+    // policy caps it at its token budget.
     std::uint32_t chunkFor(std::uint32_t limit) const
     {
         if (opt_.policy != SchedPolicy::ChunkedInterleave)
             return limit;
-        std::uint32_t budget = opt_.prefill_chunk;
-        if (degrade_scale_ < 1.0)
-            budget = std::max<std::uint32_t>(
-                16, std::uint32_t(double(budget) * degrade_scale_));
-        return std::min(budget, limit);
+        return std::min(opt_.prefill_chunk, limit);
     }
 
     void startNext(std::size_t i)
     {
         ReqRun &r = runs_[i];
-        // A killed run's deferred start event (stagger/arrival) still
-        // fires — the EventQueue cannot cancel — and must be a no-op.
+        // A finished run has no next unit. Killed runs' completions
+        // are dropped by abortUnit() and swap-in landings check first,
+        // so no caller should get here for one; keep it a no-op.
         if (r.finished)
             return;
         // The one completion rule, for decode and prefill-only
@@ -480,8 +472,8 @@ class ServeRun
             return;
         }
         // A pending eviction lands at the next unit boundary — which
-        // for a victim that never issued its first unit (deferred
-        // start via stagger or arrival) is right here.
+        // for a victim admitted in this wave that has not issued its
+        // first unit yet is right here.
         if (r.preempt_pending) {
             evictRun(i);
             return;
@@ -970,28 +962,18 @@ class ServeRun
                 retire(next_admit_++, RequestOutcome::RejectedInfeasible);
                 continue;
             }
-            // SLO-aware degradation at the admission point. Under
-            // ShedNewest an arrival whose projected TTFT (queue of
-            // admitted prefill work ahead of it, at the measured
-            // per-token rate) already busts the target is turned
-            // away; under ProportionalSlowdown everyone is admitted
-            // but the prefill chunk budget shrinks with the overload.
+            // SLO-aware admission: an arrival whose projected TTFT
+            // (queue of admitted prefill work ahead of it, at the
+            // measured per-token rate) already busts the target is
+            // shed.
             if (opt_.slo_ttft_ms > 0.0) {
                 const double projected = projectedTtftMs(spec);
-                if (opt_.degrade == DegradePolicy::ShedNewest) {
-                    if (projected > opt_.slo_ttft_ms) {
-                        warn("shedding request %zu: projected TTFT "
-                             "%.3g ms exceeds SLO %.3g ms",
-                             next_admit_, projected, opt_.slo_ttft_ms);
-                        retire(next_admit_++, RequestOutcome::ShedSlo);
-                        continue;
-                    }
-                } else {
-                    degrade_scale_ =
-                        projected > opt_.slo_ttft_ms
-                            ? std::max(0.25,
-                                       opt_.slo_ttft_ms / projected)
-                            : 1.0;
+                if (projected > opt_.slo_ttft_ms) {
+                    warn("shedding request %zu: projected TTFT %.3g ms "
+                         "exceeds SLO %.3g ms",
+                         next_admit_, projected, opt_.slo_ttft_ms);
+                    retire(next_admit_++, RequestOutcome::ShedSlo);
+                    continue;
                 }
             }
             // Admission requires the request's warm context KV to be
@@ -1024,21 +1006,8 @@ class ServeRun
         // than its share of the staging buffer.
         rebudget();
         for (std::size_t i : started) {
-            ReqRun &r = runs_[i];
-            // Stagger only the initial wave (i * stagger ticks); the
-            // slot is held from admission, the stream just waits for
-            // its start slot. A delay of zero starts synchronously,
-            // which keeps the decode-only event sequence identical to
-            // its recorded golden stats.
-            Tick start = initial_wave_ ? Tick(i) * opt_.admission_stagger
-                                       : eq_.now();
-            if (start < r.spec.arrival)
-                start = r.spec.arrival;
-            r.stats.admit_tick = start;
-            if (start == eq_.now())
-                startNext(i);
-            else
-                eq_.schedule(start, [this, i] { startNext(i); });
+            runs_[i].stats.admit_tick = eq_.now();
+            startNext(i);
         }
     }
 
@@ -1222,10 +1191,6 @@ Scheduler::serve(const std::vector<ServeRequest> &requests,
     CAMLLM_ASSERT(opt.max_batch >= 1);
     if (opt.policy == SchedPolicy::ChunkedInterleave)
         CAMLLM_ASSERT(opt.prefill_chunk >= 1);
-    CAMLLM_ASSERT(opt.degrade != DegradePolicy::ProportionalSlowdown ||
-                      opt.policy == SchedPolicy::ChunkedInterleave,
-                  "degrade = ProportionalSlowdown shrinks prefill "
-                  "chunks, but policy = DecodeFirstFcfs never chunks");
     if (opt.kv_swap)
         CAMLLM_ASSERT(opt.kv_budget_bytes > 0,
                       "kv_swap without a bounded KV pool has nothing "
@@ -1236,8 +1201,7 @@ Scheduler::serve(const std::vector<ServeRequest> &requests,
                       "needs kv_block_tokens >= 1");
     for (std::size_t i = 0; i < requests.size(); ++i) {
         const ServeRequest &r = requests[i];
-        CAMLLM_ASSERT(r.prompt >= 1 ||
-                          (r.context >= 1 && r.decode_tokens >= 1),
+        CAMLLM_ASSERT(r.servable(),
                       "request %zu needs a prompt, or warm context "
                       "and a decode step",
                       i);

@@ -26,8 +26,11 @@
  *
  * Requests arrive on the sim clock (core::ArrivalTrace); the
  * scheduler admits FCFS into `max_batch` slots as arrivals land and
- * slots retire. Per-request TTFT and per-token TBT are reported in
- * depth-extrapolated milliseconds with p50/p95/p99 summaries.
+ * slots retire, and an admitted request starts its first unit on the
+ * tick it is admitted. With an SLO target set, an arrival whose
+ * projected TTFT busts it is shed instead of admitted. Per-request
+ * TTFT and per-token TBT are reported in depth-extrapolated
+ * milliseconds with p50/p95/p99 summaries.
  *
  * KV memory is bounded the way a real device bounds it: a
  * core::KvPool divides a configurable DRAM budget into fixed
@@ -82,20 +85,6 @@ enum class SchedPolicy
     ChunkedInterleave ///< chunked prefill under a token budget
 };
 
-/** What to do when the projected TTFT blows the SLO target. */
-enum class DegradePolicy
-{
-    /** Reject the arriving request outright (it is the newest work in
-     *  the system); everyone already admitted keeps full service. */
-    ShedNewest,
-
-    /** Admit everyone but shrink the effective prefill chunk in
-     *  proportion to the overload, trading everyone's TTFT a little
-     *  instead of rejecting anyone. ChunkedInterleave only: serve()
-     *  rejects it under DecodeFirstFcfs, which never chunks. */
-    ProportionalSlowdown
-};
-
 /** How one request left the system. */
 enum class RequestOutcome : std::uint8_t
 {
@@ -118,12 +107,6 @@ struct SchedOptions
     /** Serialize systolic-array/SFU time across streams instead of
      *  overlapping it for free (core::NpuArbiter). */
     bool npu_contention = false;
-
-    /** Initial-wave stagger: slot i of the first admission wave
-     *  starts i * stagger ticks in, decorrelating the streams' layer
-     *  phases (identical requests admitted together resonate on the
-     *  DRAM in a way arrival jitter never would). */
-    Tick admission_stagger = 0;
 
     /**
      * DRAM bytes reserved for the KV cache (full model depth); 0 =
@@ -205,12 +188,11 @@ struct SchedOptions
      * projects the arrival's TTFT from the measured per-token prefill
      * service rate (an EMA that inflates under retry/degradation
      * load) and the prefill backlog ahead of it; a projection past
-     * the target triggers the degrade policy below.
+     * the target sheds the arrival (it is the newest work in the
+     * system, ServeStats::shed_slo) and everyone already admitted
+     * keeps full service.
      */
     double slo_ttft_ms = 0.0;
-
-    /** Reaction to a projected SLO violation. */
-    DegradePolicy degrade = DegradePolicy::ShedNewest;
 
     /**
      * Fault-injection spec forwarded to the flash device: seeded soft
@@ -233,7 +215,7 @@ struct ServeRequestStats
     std::uint32_t decode_tokens = 0;
 
     Tick arrival = 0;          ///< sim clock
-    Tick admit_tick = 0;       ///< slot start (stagger included)
+    Tick admit_tick = 0;       ///< slot taken, first unit started
     Tick first_token_tick = 0; ///< first token emitted (sim clock)
     Tick finish_tick = 0;      ///< last decode step done (sim clock)
 

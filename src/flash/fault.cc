@@ -48,9 +48,9 @@ FaultSpec::effectiveUcpRate() const
 
 FaultModel::FaultModel(const FaultSpec &spec, std::uint32_t page_bytes,
                        Tick t_read)
-    : spec_(spec), page_bytes_(page_bytes), rng_(spec.seed),
-      uniform_rungs_(spec.ladder.max_retries, kUnset)
+    : spec_(spec), page_bytes_(page_bytes), rng_(spec.seed)
 {
+    uniform_rungs_.fill(kUnset);
     CAMLLM_ASSERT(page_bytes_ > 0);
     uniform_ber_ =
         ecc::retentionBer(spec_.retention_hours, spec_.pe_cycles);
@@ -59,12 +59,11 @@ FaultModel::FaultModel(const FaultSpec &spec, std::uint32_t page_bytes,
                : spec_.effectiveUcpRate();
 
     const double scale = eccSenseScale();
-    sense_.reserve(spec_.ladder.max_retries + 1);
-    sense_.push_back(scale == 1.0 ? t_read : Tick(double(t_read) * scale));
-    for (std::uint32_t k = 1; k <= spec_.ladder.max_retries; ++k) {
+    sense_[0] = scale == 1.0 ? t_read : Tick(double(t_read) * scale);
+    for (std::uint32_t k = 1; k <= RetryLadder::kMaxRetries; ++k) {
         const double esc =
             std::pow(RetryLadder::kSenseEscalation, double(k));
-        sense_.push_back(Tick(double(t_read) * esc * scale));
+        sense_[k] = Tick(double(t_read) * esc * scale);
     }
 }
 
@@ -75,7 +74,7 @@ FaultModel::ucpAt(double age_hours, double pe_cycles) const
     const double ber = ecc::retentionBer(age_hours, pe_cycles, rp);
     if (spec_.ecc_correctable_bits > 0) {
         return std::min(ecc::pageUcp(ber, spec_.ecc_correctable_bits,
-                                     spec_.ecc_codeword_bytes,
+                                     FaultSpec::kEccCodewordBytes,
                                      page_bytes_),
                         0.9);
     }
@@ -85,13 +84,13 @@ FaultModel::ucpAt(double age_hours, double pe_cycles) const
 }
 
 std::uint32_t
-FaultModel::climbLadder(double ucp0, double ber0, double *rungs)
+FaultModel::climbLadder(double ucp0, double ber0, Rungs &rungs)
 {
     if (ucp0 <= 0.0)
         return 0;
     std::uint32_t r = 0;
     double p = ucp0;
-    while (r < spec_.ladder.max_retries) {
+    while (r < RetryLadder::kMaxRetries) {
         ++draws_;
         if (!rng_.chance(p))
             break;
@@ -105,7 +104,7 @@ FaultModel::climbLadder(double ucp0, double ber0, double *rungs)
 
 double
 FaultModel::rungOdds(std::uint32_t r, double ucp0, double ber0,
-                     const double *rungs) const
+                     const Rungs &rungs) const
 {
     if (spec_.ecc_correctable_bits == 0)
         return (r == 1 ? ucp0 : rungs[r - 2]) *
@@ -117,14 +116,14 @@ FaultModel::rungOdds(std::uint32_t r, double ucp0, double ber0,
     for (std::uint32_t k = 0; k < r; ++k)
         ber *= RetryLadder::kRetryFailDecay;
     return std::min(ecc::pageUcp(ber, spec_.ecc_correctable_bits,
-                                 spec_.ecc_codeword_bytes, page_bytes_),
+                                 FaultSpec::kEccCodewordBytes, page_bytes_),
                     0.9);
 }
 
 std::uint32_t
 FaultModel::drawRetries()
 {
-    return climbLadder(ucp_, uniform_ber_, uniform_rungs_.data());
+    return climbLadder(ucp_, uniform_ber_, uniform_rungs_);
 }
 
 void
@@ -133,7 +132,6 @@ FaultModel::setWearSource(const WeightPlacement *placement)
     wear_ = placement;
     const std::size_t planes = placement ? placement->planeCount() : 0;
     odds_.assign(planes, PlaneOdds{});
-    plane_rungs_.assign(planes * spec_.ladder.max_retries, kUnset);
 }
 
 std::uint32_t
@@ -149,7 +147,6 @@ FaultModel::drawRetriesForPlane(std::uint32_t channel,
     const double age = wear_->planeAge(idx);
     const double frac = wear_->planeFreshFraction(idx);
     PlaneOdds &o = odds_[idx];
-    double *rungs = plane_rungs_.data() + idx * spec_.ladder.max_retries;
     if (!o.known || o.pe != pe || o.age != age || o.fresh != frac) {
         double ucp0 = ucpAt(age, pe);
         double ber0 = ecc::retentionBer(age, pe);
@@ -160,10 +157,10 @@ FaultModel::drawRetriesForPlane(std::uint32_t channel,
             ber0 = (1.0 - frac) * ber0 +
                    frac * ecc::retentionBer(0.0, pe);
         }
-        o = PlaneOdds{true, pe, age, frac, ucp0, ber0};
-        std::fill_n(rungs, spec_.ladder.max_retries, kUnset);
+        o = PlaneOdds{true, pe, age, frac, ucp0, ber0, {}};
+        o.rungs.fill(kUnset);
     }
-    return climbLadder(o.ucp0, o.ber0, rungs);
+    return climbLadder(o.ucp0, o.ber0, o.rungs);
 }
 
 double
@@ -171,7 +168,7 @@ FaultModel::eccSenseScale() const
 {
     if (spec_.ecc_correctable_bits == 0)
         return 1.0;
-    return 1.0 + spec_.ecc_sense_per_bit *
+    return 1.0 + FaultSpec::kEccSensePerBit *
                      double(spec_.ecc_correctable_bits);
 }
 

@@ -36,6 +36,7 @@
 #ifndef CAMLLM_FLASH_FAULT_H
 #define CAMLLM_FLASH_FAULT_H
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -47,12 +48,13 @@
 
 namespace camllm::flash {
 
-/** Read-retry ladder shape (applied per failed array read). */
+/** Read-retry ladder shape (applied per failed array read): the
+ *  device's one read-retry table. */
 struct RetryLadder
 {
     /** Re-reads allowed after the initial failed sense; the last rung
      *  always succeeds. */
-    std::uint32_t max_retries = 4;
+    static constexpr std::uint32_t kMaxRetries = 4;
 
     /** tR multiplier per rung: attempt k senses for
      *  t_read * kSenseEscalation^k. */
@@ -93,7 +95,6 @@ struct FaultSpec
     double pe_cycles = 0.0;
 
     std::uint64_t seed = 1;
-    RetryLadder ladder;
     std::vector<ChannelFault> channel_faults;
 
     /** Resident weight bytes, used to size the remap performed when a
@@ -128,18 +129,18 @@ struct FaultSpec
      * codeword. 0 keeps the legacy ucp_rate path. > 0 derives every
      * ladder rung's failure probability from ecc::pageUcp at the
      * read's raw BER; stronger ECC costs sense latency
-     * (ecc_sense_per_bit) and decoder area (core::eccDecoderAreaUm2)
+     * (kEccSensePerBit) and decoder area (core::eccDecoderAreaUm2)
      * but flattens the retry tail.
      */
     std::uint32_t ecc_correctable_bits = 0;
 
-    /** Payload bytes one codeword protects. */
-    std::uint32_t ecc_codeword_bytes = 1024;
+    /** Payload bytes one codeword of the on-die ECC protects. */
+    static constexpr std::uint32_t kEccCodewordBytes = 1024;
 
     /** Fractional tR adder per correctable bit: every sense (retry
      *  rungs included) takes t_read * (1 + bits * this) — the finer
      *  soft-sense precision a stronger decoder needs. */
-    double ecc_sense_per_bit = 0.004;
+    static constexpr double kEccSensePerBit = 0.004;
 
     /**
      * Background retention-scrub rate in pages per second (0 = off).
@@ -214,7 +215,7 @@ class FaultModel
      *  otherwise), before ladder decay. Clamped to [0, 0.9]. */
     double ucpAt(double age_hours, double pe_cycles) const;
 
-    /** Sense latency of attempt @p attempt (at most max_retries).
+    /** Sense latency of attempt @p attempt (at most kMaxRetries).
      *  Attempt 0 at default ECC strength is the base tR, exactly; an
      *  armed ECC strength multiplies every attempt by the soft-sense
      *  factor. */
@@ -235,21 +236,25 @@ class FaultModel
     /** Marks a rung memo slot not yet evaluated (odds are never < 0). */
     static constexpr double kUnset = -1.0;
 
+    /** Failure odds of rungs 1..kMaxRetries of one wear state: slot
+     *  r-1 holds rung r, kUnset until a climb first reaches it. */
+    using Rungs = std::array<double, RetryLadder::kMaxRetries>;
+
     /**
-     * Climb the ladder from first-sense probability @p ucp0. @p rungs
-     * memoizes rungs 1..max_retries of one wear state (slot r-1 holds
-     * rung r, kUnset until the rung is first reached); @p ber0 seeds a
-     * rung's codeword-tail evaluation when ECC is armed.
+     * Climb the ladder from first-sense probability @p ucp0, filling
+     * @p rungs as rungs are first reached; @p ber0 seeds a rung's
+     * codeword-tail evaluation when ECC is armed.
      */
-    std::uint32_t climbLadder(double ucp0, double ber0, double *rungs);
+    std::uint32_t climbLadder(double ucp0, double ber0, Rungs &rungs);
 
     /** Failure probability of rung @p r >= 1, from the same wear
      *  state's first-sense odds and already-filled lower rungs. */
     double rungOdds(std::uint32_t r, double ucp0, double ber0,
-                    const double *rungs) const;
+                    const Rungs &rungs) const;
 
-    /** First-sense odds of one plane, valid while the plane's wear
-     *  state still equals the key it was derived from. */
+    /** First-sense odds and rung memo of one plane, valid while the
+     *  plane's wear state still equals the key they were derived
+     *  from. */
     struct PlaneOdds
     {
         bool known = false;
@@ -258,6 +263,7 @@ class FaultModel
         double fresh = 0.0;
         double ucp0 = 0.0;
         double ber0 = 0.0;
+        Rungs rungs{};
     };
 
     FaultSpec spec_;
@@ -269,15 +275,13 @@ class FaultModel
     const WeightPlacement *wear_ = nullptr;
     /** Per-plane memo for drawRetriesForPlane. Keyed on the exact
      *  wear-state doubles, so a program or refresh that changes them
-     *  recomputes the odds without any invalidation hook. */
+     *  recomputes the odds (and clears the rungs) without any
+     *  invalidation hook. */
     std::vector<PlaneOdds> odds_;
-    /** Rung memo of the uniform draw (max_retries slots). */
-    std::vector<double> uniform_rungs_;
-    /** Rung memos of every plane, max_retries slots each, cleared
-     *  whenever the plane's odds_ entry is re-derived. */
-    std::vector<double> plane_rungs_;
-    /** senseTime() of every attempt 0..max_retries. */
-    std::vector<Tick> sense_;
+    /** Rung memo of the uniform draw. */
+    Rungs uniform_rungs_;
+    /** senseTime() of every attempt 0..kMaxRetries. */
+    std::array<Tick, RetryLadder::kMaxRetries + 1> sense_;
 };
 
 } // namespace camllm::flash

@@ -45,18 +45,21 @@ WeightPlacement::seedStriped(std::uint64_t pages)
                   "seeding %llu pages into %llu free",
                   (unsigned long long)pages,
                   (unsigned long long)(capacityPages() - allocated_));
-    const std::uint64_t n_planes = next_page_.size();
+    const std::size_t n_planes = next_page_.size();
     const std::uint64_t base = pages / n_planes;
-    std::uint64_t extra = pages % n_planes;
-    for (std::uint64_t i = 0; i < n_planes; ++i) {
-        std::uint64_t give = base + (extra > 0 ? 1 : 0);
-        if (extra > 0)
-            --extra;
+    const std::size_t extra = std::size_t(pages % n_planes);
+    for (std::size_t i = 0; i < n_planes; ++i) {
+        // Plane i's offset past the cursor, cyclically: the first
+        // `extra` planes from the cursor take one remainder page.
+        const std::size_t from_cursor =
+            (i + n_planes - seed_cursor_) % n_planes;
+        const std::uint64_t give = base + (from_cursor < extra ? 1 : 0);
         CAMLLM_ASSERT(next_page_[i] + give <= pages_per_plane_,
                       "plane overflow while seeding");
         next_page_[i] += std::uint32_t(give);
         programs_[i] += give;
     }
+    seed_cursor_ = (seed_cursor_ + extra) % n_planes;
     allocated_ += pages;
 }
 

@@ -50,7 +50,10 @@ class WeightPlacement
      * Bulk-seed @p pages striped evenly across every plane — the
      * resident weight image as loaded at boot. The fault layer uses
      * this so a dead channel knows how much data it strands. Seeding
-     * programs count toward plane wear like any other write.
+     * programs count toward plane wear like any other write. Each
+     * call's remainder pages start at the plane after the one where
+     * the previous call's remainder ended, so seeding in several
+     * calls stays even and can fill the device exactly.
      */
     void seedStriped(std::uint64_t pages);
 
@@ -187,6 +190,7 @@ class WeightPlacement
     std::uint64_t allocated_ = 0;
     std::uint64_t retired_pages_ = 0;
     std::uint32_t pages_per_plane_;
+    std::size_t seed_cursor_ = 0; ///< next seedStriped remainder plane
 
     std::uint64_t kv_region_pages_ = 0; ///< reserved KV-swap quota
     std::uint64_t kv_live_pages_ = 0;   ///< swapped-out pages resident

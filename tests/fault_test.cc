@@ -28,7 +28,6 @@
 namespace camllm {
 namespace {
 
-using core::DegradePolicy;
 using core::RequestOutcome;
 using core::SchedOptions;
 using core::SchedPolicy;
@@ -69,16 +68,16 @@ TEST(FaultModel, LadderIsBoundedAndEscalates)
 {
     flash::FaultSpec spec;
     spec.ucp_rate = 0.9; // fails as often as the clamp allows
-    spec.ladder.max_retries = 3;
+    constexpr std::uint32_t kRungs = flash::RetryLadder::kMaxRetries;
     const Tick t_read = 25 * kUs;
     flash::FaultModel m(spec, 16384, t_read);
     for (int i = 0; i < 500; ++i)
-        ASSERT_LE(m.drawRetries(), 3u);
+        ASSERT_LE(m.drawRetries(), kRungs);
     // Attempt 0 is the base sense time, exactly; later rungs escalate
     // strictly.
     EXPECT_EQ(m.senseTime(0), t_read);
     Tick prev = t_read;
-    for (std::uint32_t k = 1; k <= 3; ++k) {
+    for (std::uint32_t k = 1; k <= kRungs; ++k) {
         const Tick t = m.senseTime(k);
         EXPECT_GT(t, prev);
         prev = t;
@@ -400,7 +399,6 @@ TEST(FaultServing, SloShedNewestTurnsAwayLateArrivals)
     SchedOptions opt = chunkedOpts();
     opt.max_batch = 2;
     opt.slo_ttft_ms = 0.5; // far below any real projected TTFT
-    opt.degrade = DegradePolicy::ShedNewest;
     const ServeStats st = sched.serve(reqs, opt);
     // The first admissions happen before any chunk has landed (no
     // EMA yet — never shed blind); once slots free the projection is
@@ -425,50 +423,10 @@ TEST(FaultServing, ColdStartBurstNeverShedsOnEmptyEma)
     SchedOptions opt = chunkedOpts();
     opt.max_batch = 4; // the whole burst fits: all admit cold
     opt.slo_ttft_ms = 0.001;
-    opt.degrade = DegradePolicy::ShedNewest;
     const ServeStats st = sched.serve(reqs, opt);
     EXPECT_EQ(st.shed_slo, 0u);
     EXPECT_EQ(st.completed, 4u);
     expectBalanced(st, 4);
-}
-
-TEST(FaultServing, ProportionalSlowdownAdmitsEveryoneWithSmallerChunks)
-{
-    const Scheduler sched(core::presetS(), llm::opt6_7b());
-    const std::vector<ServeRequest> reqs = {
-        {128, 0, 2, 0}, {128, 0, 2, 0}, {128, 0, 2, 0}, {128, 0, 2, 0}};
-    SchedOptions opt = chunkedOpts();
-    opt.max_batch = 2;
-    const ServeStats clean = sched.serve(reqs, opt);
-
-    SchedOptions degraded = opt;
-    degraded.slo_ttft_ms = 0.5;
-    degraded.degrade = DegradePolicy::ProportionalSlowdown;
-    const ServeStats st = sched.serve(reqs, degraded);
-    EXPECT_EQ(st.completed, 4u);
-    EXPECT_EQ(st.shed_slo, 0u);
-    std::uint32_t chunks = 0, clean_chunks = 0;
-    for (std::size_t i = 0; i < 4; ++i) {
-        chunks += st.requests[i].prefill_chunks;
-        clean_chunks += clean.requests[i].prefill_chunks;
-    }
-    // Overload shrank the chunk budget: the same prompts took more,
-    // smaller chunks.
-    EXPECT_GT(chunks, clean_chunks);
-}
-
-// The chunk-shrinking degrade policy has nothing to shrink under
-// whole-prompt FCFS prefill; the contradiction fails at serve() entry
-// instead of being silently ignored.
-TEST(FaultServing, ProportionalSlowdownUnderFcfsIsRejectedUpFront)
-{
-    const Scheduler sched(core::presetS(), llm::opt6_7b());
-    SchedOptions opt;
-    opt.policy = SchedPolicy::DecodeFirstFcfs;
-    opt.slo_ttft_ms = 0.5;
-    opt.degrade = DegradePolicy::ProportionalSlowdown;
-    EXPECT_DEATH(sched.serve(smallTrace(), opt),
-                 "ProportionalSlowdown.*DecodeFirstFcfs");
 }
 
 // One trace that leaves through every exit at once. With two slots,
@@ -494,7 +452,6 @@ TEST(FaultServing, OneServeEndsInAllFiveOutcomes)
     opt.kv_budget_bytes =
         256 * 16 * std::uint64_t(model.kvDim()) * model.n_layers;
     opt.slo_ttft_ms = 0.001;
-    opt.degrade = DegradePolicy::ShedNewest;
 
     // Deadline events never perturb the schedule, so the run without
     // one places a deadline between the two running requests' exits.

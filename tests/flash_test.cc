@@ -1146,5 +1146,29 @@ TEST(WeightPlacement, FillsEntireDeviceWithoutOverlap)
     EXPECT_DEATH(wp.seedStriped(1), "seeding 1 pages into 0 free");
 }
 
+TEST(WeightPlacement, SeedingInSeveralCallsFillsExactly)
+{
+    // Each call's remainder pages continue where the previous call's
+    // ended, so uneven calls still fill both planes to the last page.
+    FlashGeometry g = testParams().geometry;
+    g.channels = 1;
+    g.chips_per_channel = 1;
+    g.dies_per_chip = 1;
+    g.planes_per_die = 2;
+    g.blocks_per_plane = 2;
+    g.pages_per_block = 64;
+    WeightPlacement wp(g);
+    const std::uint64_t cap = wp.capacityPages();
+    ASSERT_EQ(cap, 256u);
+    wp.seedStriped(cap / 3);
+    wp.seedStriped(cap / 5);
+    wp.seedStriped(cap - cap / 3 - cap / 5);
+    EXPECT_EQ(wp.freePages(), 0u);
+    EXPECT_EQ(wp.pagesAllocated(), cap);
+    EXPECT_EQ(wp.pagesOnChannel(0), cap);
+    // Programs landed evenly too: one plane's worth on each plane.
+    EXPECT_EQ(wp.planeWear(0), wp.planeWear(1));
+}
+
 } // namespace
 } // namespace camllm::flash

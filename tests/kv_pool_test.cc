@@ -489,9 +489,10 @@ TEST(KvServing, ShrinkingBudgetMonotonicity)
     }
     for (std::size_t i = 1; i < stats.size(); ++i) {
         // Stalls decorrelate the streams' layer phases, which can
-        // nudge a run a fraction of a percent either way (the same
-        // resonance effect admission_stagger exists for), so the
-        // non-decrease check carries the repo-standard 2% headroom.
+        // nudge a run a fraction of a percent either way (streams
+        // admitted together otherwise contend on the DRAM in
+        // lockstep), so the non-decrease check carries the
+        // repo-standard 2% headroom.
         EXPECT_GE(stats[i].ttft.p95_ms * 1.02,
                   stats[i - 1].ttft.p95_ms)
             << "budget " << ladder[i] << " blocks";

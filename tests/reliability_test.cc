@@ -239,7 +239,7 @@ struct ReferenceLadder
         const double ber = ecc::retentionBer(age, pe, rp);
         if (spec.ecc_correctable_bits > 0)
             return std::min(ecc::pageUcp(ber, spec.ecc_correctable_bits,
-                                         spec.ecc_codeword_bytes,
+                                         FaultSpec::kEccCodewordBytes,
                                          page_bytes),
                             0.9);
         return std::min(spec.ucp_rate * (ber / rp.base_ber), 0.9);
@@ -251,7 +251,7 @@ struct ReferenceLadder
         if (p <= 0.0)
             return 0;
         std::uint32_t r = 0;
-        while (r < spec.ladder.max_retries) {
+        while (r < flash::RetryLadder::kMaxRetries) {
             ++draws;
             if (!rng.chance(p))
                 break;
@@ -259,7 +259,7 @@ struct ReferenceLadder
             if (spec.ecc_correctable_bits > 0) {
                 ber *= flash::RetryLadder::kRetryFailDecay;
                 p = std::min(ecc::pageUcp(ber, spec.ecc_correctable_bits,
-                                          spec.ecc_codeword_bytes,
+                                          FaultSpec::kEccCodewordBytes,
                                           page_bytes),
                              0.9);
             } else {
@@ -312,19 +312,17 @@ TEST(ReliabilityFaultModel, MemoizedLadderMatchesPerRungReference)
     std::uint64_t deep_climbs = 0; // draws that passed rung 1
     for (const bool wear : {false, true}) {
         for (const std::uint32_t bits : {0u, 16u, 32u, 64u}) {
-            for (const std::uint32_t rungs : {1u, 8u}) {
+            for (int rep = 0; rep < 2; ++rep) {
                 FaultSpec spec;
                 spec.seed = pick.next();
                 spec.retention_hours = 50.0 + 8000.0 * pick.uniform();
                 spec.pe_cycles = 1000.0 + 7000.0 * pick.uniform();
                 spec.ecc_correctable_bits = bits;
                 spec.ucp_rate = bits > 0 ? 0.0 : 0.01 + 0.5 * pick.uniform();
-                spec.ladder.max_retries = rungs;
                 spec.wear_tracking = wear;
                 SCOPED_TRACE(testing::Message()
                              << "wear " << wear << " ecc " << bits
-                             << " max_retries " << rungs << " seed "
-                             << spec.seed);
+                             << " rep " << rep << " seed " << spec.seed);
 
                 WeightPlacement place(g);
                 place.seedStriped(g.totalPages() / 4);
@@ -662,13 +660,11 @@ TEST(ReliabilityServing, InertKnobsKeepTheLegacyTimeline)
     legacy.faults.seed = 7;
     const ServeStats a = sched.serve(smallTrace(), legacy);
 
-    // Passive knob values (skew, codeword size, sense adder) must be
-    // inert while wear tracking, ECC strength and refresh stay off —
-    // the gating is what keeps PR 6 fault timelines byte-stable.
+    // A passive knob value (wear skew) must be inert while wear
+    // tracking, ECC strength and refresh stay off — the gating is what
+    // keeps the legacy fault timelines byte-stable.
     SchedOptions knobs = legacy;
     knobs.faults.wear_skew = 0.6;
-    knobs.faults.ecc_codeword_bytes = 2048;
-    knobs.faults.ecc_sense_per_bit = 0.02;
     const ServeStats b = sched.serve(smallTrace(), knobs);
     ASSERT_EQ(a.requests.size(), b.requests.size());
     EXPECT_EQ(a.sim_makespan, b.sim_makespan);

@@ -40,12 +40,17 @@ struct ServeRequest
      *  one step, which emits its first token. */
     std::uint32_t decode_tokens = 1;
 
-    /** Sim-clock arrival tick. */
+    /** Arrival tick on the sampled-layer sim clock. That clock runs
+     *  about n_layers / sample_layers times faster than the
+     *  depth-extrapolated time of the reported TTFT/TBT and of
+     *  SchedOptions::slo_ttft_ms (ROADMAP item 1 moves every time
+     *  input onto one clock). */
     Tick arrival = 0;
 
-    /** User cancellation tick (0 = never): at this sim time the
-     *  client gives up and the scheduler tears the request down,
-     *  wherever it is — queued, prefilling or decoding. */
+    /** User cancellation tick (0 = never), on the same sampled-layer
+     *  sim clock as @ref arrival: at this sim time the client gives
+     *  up and the scheduler tears the request down, wherever it is —
+     *  queued, prefilling or decoding. */
     Tick cancel_at = 0;
 
     /** Shared-prompt tag (0 = none): requests with the same nonzero

@@ -73,9 +73,8 @@ DecodeStream::capture() const
 std::uint64_t
 DecodeStream::npuRows(const TilePlan &plan) const
 {
-    if (prefillMode())
-        return plan.rows; // batched GeMM runs on the NPU
-    return env_.cfg->hybrid_tiling ? plan.npu_rows : 0;
+    // Batched prefill GeMM runs wholly on the NPU.
+    return prefillMode() ? plan.rows : plan.npu_rows;
 }
 
 void
@@ -139,12 +138,6 @@ DecodeStream::issueKvDram(std::uint32_t id,
                           const std::vector<std::uint64_t> &segs,
                           std::function<void()> done)
 {
-    if (segs.size() == 1) {
-        // Contiguous stream (or a range inside one block): the
-        // historical single DRAM burst, event-for-event.
-        env_.dram->request(segs[0], std::move(done));
-        return;
-    }
     auto &s = st_[id];
     CAMLLM_ASSERT(s.dram_remaining == 0);
     s.dram_remaining = std::uint32_t(segs.size());
@@ -319,13 +312,8 @@ DecodeStream::issueGemv(std::uint32_t id)
     const std::uint32_t E = elemsPerPage();
     const double act_bytes = quant_.act_bits / 8.0;
 
-    // In no-tiling mode the ragged final unit still goes to flash;
-    // in prefill nothing does (cores cannot batch positions).
-    std::uint64_t units = plan.flash_core_rows;
-    if (!cfg.hybrid_tiling)
-        units = (op.rows + plan.hpc - 1) / plan.hpc;
-    if (prefillMode())
-        units = 0;
+    // In prefill nothing goes to flash (cores cannot batch positions).
+    const std::uint64_t units = prefillMode() ? 0 : plan.flash_core_rows;
 
     std::uint64_t rc_expected = 0;
     if (units > 0) {
@@ -395,23 +383,11 @@ DecodeStream::issueReads(std::uint32_t id, const TilePlan &plan)
     wb_npu_ += bytes;
     outstanding_read_bytes_ += bytes;
 
-    const CamConfig &cfg = *env_.cfg;
-    const std::uint32_t page = cfg.flash.geometry.page_bytes;
-    std::uint64_t left = bytes;
-    while (left > 0) {
-        const auto chunk = std::uint32_t(
-            std::min<std::uint64_t>(page, left));
-        left -= chunk;
-        flash::ReadPageJob job;
-        job.client = client_;
-        job.cls = workClass();
-        job.op_id = id;
-        job.bytes = chunk;
-        job.sliced = cfg.slicing;
-        env_.fs->submitRead(rr_read_channel_, job);
-        rr_read_channel_ =
-            (rr_read_channel_ + 1) % cfg.flash.geometry.channels;
-    }
+    flash::ReadPageJob job;
+    job.client = client_;
+    job.cls = workClass();
+    job.op_id = id;
+    rr_read_channel_ = env_.fs->submitPageReads(job, bytes, rr_read_channel_);
 }
 
 void

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <unordered_map>
 
 #include "common/logging.h"
 #include "common/stats.h"
@@ -75,17 +74,6 @@ struct ReqRun
     Tick recompute_pre_ft = 0;  ///< recompute service before it
 };
 
-// In-flight swap-in op on the scheduler's flash client: the owning run
-// and the payload still to land.
-struct SwapIn
-{
-    std::size_t run = 0;
-    std::uint64_t remaining = 0;
-    std::uint32_t blocks = 0;
-    std::uint32_t tokens = 0;
-    Tick start = 0;
-};
-
 /**
  * One serve() call: the shared device, the KV pool and prefix tree,
  * every request's run state, and the ServeStats being built. The
@@ -135,17 +123,11 @@ class ServeRun
         }
 
         // KV swap-to-flash: reserve the flash KV region (reusing the
-        // fault layer's placement map when one exists) and connect the
-        // scheduler's own completion port for swap-in reads. Nothing
-        // here runs when the knob is off, so the no-swap event
-        // sequence is untouched.
-        if (opt.kv_swap) {
+        // fault layer's placement map when one exists). Nothing here
+        // runs when the knob is off, so the no-swap event sequence is
+        // untouched.
+        if (opt.kv_swap)
             fs_.enableKvSwap(quant_.weightBytes(model.totalParams()));
-            swap_client_ = fs_.connect(
-                [this](const flash::Completion &c) {
-                    onSwapCompletion(c);
-                });
-        }
 
         // Identity fields are filled for every request up front — a
         // request that is rejected, shed or cancelled before admission
@@ -193,8 +175,8 @@ class ServeRun
         // Drain audit: every retire released its whole block table,
         // the prefix cache returns its refs, every outstanding ref is
         // gone (leakedBlocks alone would miss a leaked extra ref on a
-        // shared block), every swap-in landed and the flash KV region
-        // is empty.
+        // shared block), and the device's own audit: every swap-in and
+        // scrub read landed and the flash KV region is empty.
         tree_.releaseAll();
         CAMLLM_ASSERT(pool_.leakedBlocks() == 0,
                       "%llu KV blocks leaked at drain",
@@ -203,13 +185,7 @@ class ServeRun
                       "%llu KV block refs leaked at drain",
                       (unsigned long long)pool_.leakedRefs());
         CAMLLM_ASSERT(pool_.allocCount() == pool_.freeCount());
-        CAMLLM_ASSERT(swap_inflight_.empty(),
-                      "%zu swap-in ops never completed",
-                      swap_inflight_.size());
-        if (opt_.kv_swap)
-            CAMLLM_ASSERT(fs_.kvSwapLivePages() == 0,
-                          "%llu flash KV pages still live at drain",
-                          (unsigned long long)fs_.kvSwapLivePages());
+        fs_.checkDrained();
         assembleStats();
         return std::move(out_);
     }
@@ -231,7 +207,6 @@ class ServeRun
     flash::FlashSystem fs_;
     NpuArbiter npu_;
 
-    flash::ClientId swap_client_ = 0;
     DecodeStream::Env env_; ///< every stream's shared device
     std::vector<ReqRun> runs_;
     ServeStats out_; ///< counters accumulate here as the run goes
@@ -240,10 +215,6 @@ class ServeRun
     std::uint32_t active_ = 0;
     bool wake_pending_ = false;
     SampleSet tbt_ms_;
-
-    std::unordered_map<std::uint64_t, SwapIn> swap_inflight_; ///< by op id
-    std::uint64_t swap_seq_ = 0;
-    std::uint32_t swap_rr_ch_ = 0;
 
     // SLO admission control state: an EMA of depth-extrapolated
     // milliseconds per prefill token, sampled from every finished
@@ -642,8 +613,9 @@ class ServeRun
     // before the first sample, an NPU-bound MAC-time floor from the
     // model's parameter count). Swap moves the block's full-depth
     // bytes over the channel buses twice — out now, back on resume —
-    // at the bandwidth the alive channels have left at their current
-    // occupancy. Deterministic: every input is sim state.
+    // at the bandwidth the device has left
+    // (FlashSystem::kvSwapRoundTripMs). Deterministic: every input is
+    // sim state.
     bool swapBeatsRecompute(std::uint32_t tokens) const
     {
         const double recompute_ms =
@@ -653,15 +625,8 @@ class ServeRun
                       2.0 * double(model_.totalParams()) *
                       double(tokens))) /
                       double(kMs);
-        const double bus_bytes_per_ns =
-            double(fs_.aliveChannels()) *
-            config_.flash.timing.busBytesPerNs();
-        const double headroom = std::max(
-            0.05, 1.0 - fs_.avgChannelUtilization(eq_.now()));
-        const double swap_ms =
-            2.0 * double(std::uint64_t(tokens) * token_kv_bytes_) /
-            (bus_bytes_per_ns * headroom) / double(kMs);
-        return swap_ms < recompute_ms;
+        return fs_.kvSwapRoundTripMs(std::uint64_t(tokens) *
+                                     token_kv_bytes_) < recompute_ms;
     }
 
     // Victim policy: the lowest-priority (latest-arrived) running
@@ -795,69 +760,33 @@ class ServeRun
         onFree();
     }
 
-    // Stream a run of swapped-out blocks back from flash: page reads
-    // tagged WorkClass::KvSwap, round-robin over the channels, on the
-    // scheduler's own flash client. The owner waits for the whole run
-    // to land (onSwapCompletion) before continuing its rebuild; the
-    // flash copies' quota returns here, at issue.
+    // Stream a run of swapped-out blocks back from flash
+    // (FlashSystem::kvSwapIn). The owner waits for the whole run to
+    // land before continuing its rebuild; the span is billed as
+    // KV-blocked time (pool-management wait, not NPU service — so
+    // TTFT/TBT see it at the run's extrapolation factor, like any
+    // other KV stall). A run killed mid-swap-in already freed its
+    // quota at issue; its late data is simply dropped.
     void issueSwapIn(std::size_t i, std::uint32_t blocks,
                      std::uint32_t tokens)
     {
         ReqRun &r = runs_[i];
         CAMLLM_ASSERT(r.swapped_out_tokens >= tokens);
         r.swapped_out_tokens -= tokens;
-        fs_.kvSwapFree(std::uint64_t(tokens) * token_kv_bytes_);
-        const std::uint64_t op = ++swap_seq_;
-        const std::uint64_t sim =
-            std::uint64_t(tokens) * token_kv_sim_bytes_;
-        swap_inflight_.emplace(
-            op, SwapIn{i, sim, blocks, tokens, eq_.now()});
-        const std::uint32_t page = config_.flash.geometry.page_bytes;
-        std::uint64_t left = sim;
-        while (left > 0) {
-            flash::ReadPageJob job;
-            job.client = swap_client_;
-            job.cls = flash::WorkClass::KvSwap;
-            job.op_id = op;
-            job.bytes = std::uint32_t(
-                std::min<std::uint64_t>(page, left));
-            left -= job.bytes;
-            fs_.submitRead(swap_rr_ch_, job);
-            swap_rr_ch_ = (swap_rr_ch_ + 1) % fs_.channelCount();
-        }
-    }
-
-    // Swap-in completions: count a whole block run restored only when
-    // its last page lands, bill the span as KV-blocked time (it is
-    // pool-management wait, not NPU service — so TTFT/TBT see it at
-    // the run's extrapolation factor, like any other KV stall), and
-    // let the owner continue its rebuild.
-    void onSwapCompletion(const flash::Completion &c)
-    {
-        if (c.kind != flash::Completion::Kind::ReadData)
-            return;
-        auto it = swap_inflight_.find(c.op_id);
-        CAMLLM_ASSERT(it != swap_inflight_.end(),
-                      "swap completion for unknown op %llu",
-                      (unsigned long long)c.op_id);
-        SwapIn &sw = it->second;
-        CAMLLM_ASSERT(sw.remaining >= c.bytes);
-        sw.remaining -= c.bytes;
-        if (sw.remaining > 0)
-            return;
-        const SwapIn done = sw;
-        swap_inflight_.erase(it);
-        ReqRun &r = runs_[done.run];
-        // A run killed mid-swap-in already freed its quota at issue;
-        // the late data is simply dropped.
-        if (r.finished)
-            return;
-        r.rebuild_from += done.tokens;
-        CAMLLM_ASSERT(r.rebuild_from <= r.rebuild_target);
-        r.stats.swapped_in_blocks += done.blocks;
-        out_.swap_in_blocks += done.blocks;
-        addBlocked(r, done.start);
-        startNext(done.run);
+        fs_.kvSwapIn(std::uint64_t(tokens) * token_kv_bytes_,
+                     std::uint64_t(tokens) * token_kv_sim_bytes_,
+                     [this, i, blocks, tokens, start = eq_.now()] {
+                         ReqRun &owner = runs_[i];
+                         if (owner.finished)
+                             return;
+                         owner.rebuild_from += tokens;
+                         CAMLLM_ASSERT(owner.rebuild_from <=
+                                       owner.rebuild_target);
+                         owner.stats.swapped_in_blocks += blocks;
+                         out_.swap_in_blocks += blocks;
+                         addBlocked(owner, start);
+                         startNext(i);
+                     });
     }
 
     void onFree()
@@ -1115,9 +1044,7 @@ class ServeRun
         out_.ttft = summarize(ttft_ms);
         out_.tbt = summarize(tbt_ms_);
 
-        out_.npu_array_util =
-            opt_.npu_contention ? npu_.arrayUtilization(out_.sim_makespan)
-                                : 0.0;
+        out_.npu_array_util = npu_.arrayUtilization(out_.sim_makespan);
         out_.prefill_channel_bytes =
             fs_.deliveredBytes(flash::WorkClass::Prefill);
         out_.decode_channel_bytes =
@@ -1125,8 +1052,7 @@ class ServeRun
         out_.recompute_channel_bytes =
             fs_.deliveredBytes(flash::WorkClass::Recompute);
 
-        out_.kv_swap_channel_bytes =
-            opt_.kv_swap ? fs_.kvSwapChannelBytes() : 0;
+        out_.kv_swap_channel_bytes = fs_.kvSwapChannelBytes();
         out_.prefix_hit_blocks = tree_.hitBlocks();
         out_.prefix_hit_tokens =
             tree_.hitBlocks() * std::uint64_t(pool_.blockTokens());
@@ -1151,7 +1077,6 @@ class ServeRun
         out_.refresh_deferred_beats = fs_.refreshDeferredBeats();
         out_.wear_spread_pe = fs_.wearSpreadPe();
         out_.wear_mean_pe = fs_.wearMeanPe();
-        out_.wear_max_pe = fs_.wearMaxPe();
     }
 };
 

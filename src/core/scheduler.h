@@ -173,7 +173,13 @@ struct SchedOptions
     // --- resilience ----------------------------------------------------
     /**
      * Per-request completion deadline measured from arrival, in sim
-     * ticks (0 = none). A request that has not finished by
+     * ticks (0 = none). Time base: the sampled-layer sim clock, like
+     * ServeRequest::arrival — not the depth-extrapolated time that
+     * slo_ttft_ms and every reported TTFT/TBT use, so with
+     * sample_layers < n_layers one tick here covers roughly
+     * n_layers / sample_layers reported ticks (ROADMAP item 1 moves
+     * every time input onto one clock). A request that has not
+     * finished by
      * arrival + deadline is torn down wherever it is: a queued
      * request times out without ever running; a running one aborts
      * its in-flight unit (completions drain through the router and
@@ -199,8 +205,10 @@ struct SchedOptions
      * read failures, the channel slowdown/offline schedule, and the
      * reliability co-design knobs (per-plane wear tracking +
      * leveling policy, ECC correction strength, retention-refresh
-     * rate). The default spec injects nothing and leaves the event
-     * sequence byte-identical to a fault-free run; model_weight_bytes
+     * rate). Its fault windows and refresh rate run on the
+     * sampled-layer sim clock, like request_deadline (see
+     * flash::FaultSpec). The default spec injects nothing and leaves
+     * the event sequence byte-identical to a fault-free run; model_weight_bytes
      * is filled from the model config if left 0.
      */
     flash::FaultSpec faults;
@@ -382,7 +390,6 @@ struct ServeStats
     std::uint64_t refresh_deferred_beats = 0;
     double wear_spread_pe = 0.0; ///< max-min per-plane effective P/E
     double wear_mean_pe = 0.0;
-    double wear_max_pe = 0.0;
 };
 
 /** Multi-request prefill + decode co-scheduling simulation. */

@@ -68,7 +68,13 @@ struct RetryLadder
     static constexpr double kRetryFailDecay = 0.25;
 };
 
-/** One scheduled channel-degradation event. */
+/**
+ * One scheduled channel-degradation event. t0/t1 are device ticks;
+ * under core::Scheduler that is the sampled-layer sim clock, which
+ * runs about n_layers / sample_layers times faster than the
+ * depth-extrapolated time of the reported TTFT/TBT (ROADMAP item 1
+ * moves every time input onto one clock).
+ */
 struct ChannelFault
 {
     std::uint32_t channel = 0;
@@ -143,7 +149,9 @@ struct FaultSpec
     static constexpr double kEccSensePerBit = 0.004;
 
     /**
-     * Background retention-scrub rate in pages per second (0 = off).
+     * Background retention-scrub rate in pages per second (0 = off),
+     * per second of device time — under core::Scheduler the
+     * sampled-layer sim clock, like ChannelFault::t0/t1.
      * Each scrubbed page is read through the normal channel queues
      * under WorkClass::Refresh and re-written over the channel bus,
      * so refresh competes with serving reads for exactly the
@@ -151,7 +159,8 @@ struct FaultSpec
      */
     double refresh_pages_per_s = 0.0;
 
-    /** Convenience builders for the fault schedule. */
+    /** Convenience builders for the fault schedule; times are device
+     *  ticks, as in ChannelFault. */
     void addSlowdown(std::uint32_t channel, double factor, Tick t0, Tick t1);
     void addOffline(std::uint32_t channel, Tick t0);
 

@@ -8,7 +8,8 @@ namespace camllm::flash {
 
 FlashSystem::FlashSystem(EventQueue &eq, const FlashParams &params,
                          std::uint32_t tile_window, bool slice_control)
-    : eq_(eq), params_(params), router_(eq)
+    : eq_(eq), params_(params), slice_control_(slice_control),
+      router_(eq)
 {
     if (!params_.valid())
         fatal("invalid flash configuration");
@@ -231,15 +232,59 @@ FlashSystem::takeChannelOffline(std::uint32_t ch)
         submitRead(ch, j);
 }
 
+std::uint32_t
+FlashSystem::submitPageReads(ReadPageJob proto, std::uint64_t bytes,
+                             std::uint32_t ch)
+{
+    const std::uint32_t page = params_.geometry.page_bytes;
+    proto.sliced = slice_control_;
+    while (bytes > 0) {
+        proto.bytes = std::uint32_t(std::min<std::uint64_t>(page, bytes));
+        bytes -= proto.bytes;
+        submitRead(ch, proto);
+        ch = (ch + 1) % channelCount();
+    }
+    return ch;
+}
+
+std::uint32_t
+FlashSystem::trackedRead(ClientId client, WorkClass cls,
+                         std::uint64_t bytes, std::uint32_t ch,
+                         std::function<void()> landed)
+{
+    CAMLLM_ASSERT(bytes > 0, "empty background read");
+    ReadPageJob proto;
+    proto.client = client;
+    proto.cls = cls;
+    proto.op_id = ++tracked_seq_;
+    tracked_.emplace(proto.op_id, TrackedRead{bytes, std::move(landed)});
+    return submitPageReads(proto, bytes, ch);
+}
+
+void
+FlashSystem::onTrackedRead(const Completion &c)
+{
+    CAMLLM_ASSERT(c.kind == Completion::Kind::ReadData);
+    auto it = tracked_.find(c.op_id);
+    CAMLLM_ASSERT(it != tracked_.end(), "completion for unknown read %llu",
+                  (unsigned long long)c.op_id);
+    CAMLLM_ASSERT(it->second.left >= c.bytes);
+    it->second.left -= c.bytes;
+    if (it->second.left > 0)
+        return;
+    const std::function<void()> landed = std::move(it->second.landed);
+    tracked_.erase(it);
+    landed();
+}
+
 void
 FlashSystem::startRefresh(double pages_per_s)
 {
     CAMLLM_ASSERT(pages_per_s > 0.0);
-    refresh_armed_ = true;
     refresh_interval_ =
         std::max<Tick>(1, Tick(double(kSec) / pages_per_s));
-    refresh_client_ = router_.connect(
-        [this](const Completion &c) { onRefreshCompletion(c); });
+    refresh_client_ =
+        router_.connect([this](const Completion &c) { onTrackedRead(c); });
     eq_.scheduleIn(refresh_interval_, [this] { refreshTick(); });
 }
 
@@ -267,29 +312,15 @@ FlashSystem::refreshTick()
     const std::size_t src = placement_->stalestPlane();
     if (src == placement_->planeCount())
         return; // nothing resident anywhere alive
-    ReadPageJob j;
-    j.client = refresh_client_;
-    j.cls = WorkClass::Refresh;
-    j.op_id = ++refresh_seq_;
-    j.bytes = params_.geometry.page_bytes;
-    j.sliced = true;
-    refresh_src_.emplace(j.op_id, src);
     ++refresh_inflight_;
-    submitRead(placement_->planeChannel(src), j);
+    trackedRead(refresh_client_, WorkClass::Refresh,
+                params_.geometry.page_bytes, placement_->planeChannel(src),
+                [this, src] { refreshWriteBack(src); });
 }
 
 void
-FlashSystem::onRefreshCompletion(const Completion &c)
+FlashSystem::refreshWriteBack(std::size_t src)
 {
-    if (c.kind != Completion::Kind::ReadData)
-        return;
-    auto it = refresh_src_.find(c.op_id);
-    CAMLLM_ASSERT(it != refresh_src_.end(),
-                  "unknown refresh op %llu",
-                  (unsigned long long)c.op_id);
-    const std::size_t src = it->second;
-    refresh_src_.erase(it);
-
     // The wear policy picks which physical plane absorbs the
     // re-write: in place under Bump, the least-worn plane under
     // LeastWorn (in place too when the source channel died while the
@@ -339,6 +370,8 @@ FlashSystem::enableKvSwap(std::uint64_t model_weight_bytes)
     }
     placement_->reserveKvRegion(placement_->freePages());
     kv_swap_enabled_ = true;
+    kv_swap_client_ =
+        router_.connect([this](const Completion &c) { onTrackedRead(c); });
 }
 
 bool
@@ -369,6 +402,16 @@ FlashSystem::kvSwapOut(std::uint64_t full_bytes, std::uint64_t sim_bytes)
 }
 
 void
+FlashSystem::kvSwapIn(std::uint64_t full_bytes, std::uint64_t sim_bytes,
+                      std::function<void()> landed)
+{
+    kvSwapFree(full_bytes);
+    kv_swap_read_rr_ = trackedRead(kv_swap_client_, WorkClass::KvSwap,
+                                   sim_bytes, kv_swap_read_rr_,
+                                   std::move(landed));
+}
+
+void
 FlashSystem::kvSwapFree(std::uint64_t full_bytes)
 {
     CAMLLM_ASSERT(kv_swap_enabled_);
@@ -376,10 +419,26 @@ FlashSystem::kvSwapFree(std::uint64_t full_bytes)
     placement_->kvFree((full_bytes + page - 1) / page);
 }
 
-std::uint64_t
-FlashSystem::kvSwapLivePages() const
+double
+FlashSystem::kvSwapRoundTripMs(std::uint64_t full_bytes) const
 {
-    return placement_ ? placement_->kvLivePages() : 0;
+    const double bus_bytes_per_ns =
+        double(aliveChannels()) * params_.timing.busBytesPerNs();
+    const double headroom =
+        std::max(0.05, 1.0 - avgChannelUtilization(eq_.now()));
+    return 2.0 * double(full_bytes) / (bus_bytes_per_ns * headroom) /
+           double(kMs);
+}
+
+void
+FlashSystem::checkDrained() const
+{
+    CAMLLM_ASSERT(tracked_.empty(), "%zu swap-in/scrub reads never landed",
+                  tracked_.size());
+    if (kv_swap_enabled_)
+        CAMLLM_ASSERT(placement_->kvLivePages() == 0,
+                      "%llu flash KV pages still live at drain",
+                      (unsigned long long)placement_->kvLivePages());
 }
 
 double
@@ -392,12 +451,6 @@ double
 FlashSystem::wearMeanPe() const
 {
     return placement_ ? placement_->wearMeanPe() : 0.0;
-}
-
-double
-FlashSystem::wearMaxPe() const
-{
-    return placement_ ? placement_->wearMaxPe() : 0.0;
 }
 
 } // namespace camllm::flash

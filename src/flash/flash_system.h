@@ -12,6 +12,7 @@
 #define CAMLLM_FLASH_FLASH_SYSTEM_H
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -76,6 +77,15 @@ class FlashSystem
     {
         channels_[route(ch)]->submitRead(job);
     }
+
+    /**
+     * Read @p bytes as page-sized jobs stamped from @p proto, round-
+     * robin over the channels from cursor @p ch; every job follows the
+     * device's Slice Control. Returns the cursor after the last page.
+     * The one place a byte range becomes ReadPageJobs.
+     */
+    std::uint32_t submitPageReads(ReadPageJob proto, std::uint64_t bytes,
+                                  std::uint32_t ch);
 
     /** Channels still serving traffic. */
     std::uint32_t aliveChannels() const;
@@ -151,17 +161,17 @@ class FlashSystem
      *  placement map). */
     double wearSpreadPe() const;
     double wearMeanPe() const;
-    double wearMaxPe() const;
 
     // --- KV swap ---------------------------------------------------------
     /**
      * Arm KV swap-to-flash: reserve all the free flash left after the
-     * resident weights as the KV region. When no fault spec built a
-     * placement map, one is created here and seeded with the resident
-     * weight image (@p model_weight_bytes, so the region honestly
-     * competes with the weights for capacity). Call once,
-     * before the simulation starts; never armed means every swap path
-     * below is dead code and the event sequence is untouched.
+     * resident weights as the KV region and connect the swap-in
+     * client. When no fault spec built a placement map, one is created
+     * here and seeded with the resident weight image
+     * (@p model_weight_bytes, so the region honestly competes with the
+     * weights for capacity). Call once, after armFaults() and before
+     * the simulation starts; never armed means every swap path below
+     * is dead code and the event sequence is untouched.
      */
     void enableKvSwap(std::uint64_t model_weight_bytes);
 
@@ -174,11 +184,32 @@ class FlashSystem
      */
     bool kvSwapOut(std::uint64_t full_bytes, std::uint64_t sim_bytes);
 
-    /** Swap-in landed (or its owner died): free the block's quota. */
+    /**
+     * Swap @p full_bytes of KV back in: free their quota now, at issue,
+     * then stream @p sim_bytes (sampled-layer share) back as page
+     * reads tagged WorkClass::KvSwap, round-robin over the channels.
+     * @p landed runs once, when the last byte has arrived.
+     */
+    void kvSwapIn(std::uint64_t full_bytes, std::uint64_t sim_bytes,
+                  std::function<void()> landed);
+
+    /** Swapped-out KV whose owner died: free its quota. */
     void kvSwapFree(std::uint64_t full_bytes);
 
-    /** Pages currently held by swapped-out KV. */
-    std::uint64_t kvSwapLivePages() const;
+    /**
+     * Milliseconds to move @p full_bytes of KV over the channel buses
+     * twice (out now, back on resume) at the bandwidth the alive
+     * channels have left at their current occupancy (headroom floored
+     * at 5%).
+     */
+    double kvSwapRoundTripMs(std::uint64_t full_bytes) const;
+
+    /**
+     * Drain audit, for a caller whose event queue has emptied: every
+     * swap-in and scrub read landed, and the flash KV region holds no
+     * swapped-out KV.
+     */
+    void checkDrained() const;
 
     /** Total swap bus traffic: swap-in payload plus swap-out writes. */
     std::uint64_t
@@ -199,10 +230,26 @@ class FlashSystem
     // --- retention-refresh scrubber ------------------------------------
     void startRefresh(double pages_per_s);
     void refreshTick();
-    void onRefreshCompletion(const Completion &c);
+    void refreshWriteBack(std::size_t src);
+
+    // --- background reads (swap-in, scrub) -------------------------------
+    /** Read @p bytes as page reads on @p client from cursor @p ch and
+     *  run @p landed once the last byte arrives; returns the cursor
+     *  after the last page. */
+    std::uint32_t trackedRead(ClientId client, WorkClass cls,
+                              std::uint64_t bytes, std::uint32_t ch,
+                              std::function<void()> landed);
+    void onTrackedRead(const Completion &c);
+
+    struct TrackedRead
+    {
+        std::uint64_t left = 0; ///< bytes still to arrive
+        std::function<void()> landed;
+    };
 
     EventQueue &eq_;
     FlashParams params_;
+    bool slice_control_;
     CompletionRouter router_;
     std::vector<std::unique_ptr<ChannelEngine>> channels_;
 
@@ -219,20 +266,25 @@ class FlashSystem
      *  of stacking more work onto a saturated die/bus. */
     static constexpr std::uint64_t kMaxRefreshInFlight = 1;
 
+    /** In-flight background reads by op id. One id sequence serves
+     *  every background client: the ids only key this map and never
+     *  change timing. */
+    std::unordered_map<std::uint64_t, TrackedRead> tracked_;
+    std::uint64_t tracked_seq_ = 0;
+
     bool kv_swap_enabled_ = false;
-    std::uint32_t kv_swap_rr_ = 0; ///< swap-out write channel cursor
+    ClientId kv_swap_client_ = 0;
+    std::uint32_t kv_swap_rr_ = 0;      ///< swap-out write channel cursor
+    std::uint32_t kv_swap_read_rr_ = 0; ///< swap-in read channel cursor
     std::uint64_t kv_swap_write_bytes_ = 0;
 
     ClientId refresh_client_ = 0;
-    bool refresh_armed_ = false;
     bool refresh_stopped_ = false;
     Tick refresh_interval_ = 0;
-    std::uint64_t refresh_seq_ = 0;
     std::uint64_t refresh_pages_ = 0;
     std::uint64_t refresh_write_bytes_ = 0;
     std::uint64_t refresh_inflight_ = 0;
     std::uint64_t refresh_deferred_beats_ = 0;
-    std::unordered_map<std::uint64_t, std::size_t> refresh_src_;
 };
 
 } // namespace camllm::flash

@@ -1117,6 +1117,82 @@ TEST(FlashSystem, UtilizationBetweenZeroAndOne)
     EXPECT_LE(u, 1.0);
 }
 
+/** Bus grants summed over every channel of @p fs. */
+std::uint64_t
+busGrants(const FlashSystem &fs)
+{
+    std::uint64_t n = 0;
+    for (std::uint32_t c = 0; c < fs.channelCount(); ++c)
+        n += fs.channel(c).bus().grants();
+    return n;
+}
+
+// Background reads (scrub and swap-in) follow the Slice Control the
+// device was built with: on a sliced device a 1 KiB page crosses the
+// bus as four 256 B slices, on an unsliced one as a single grant.
+TEST(FlashSystem, BackgroundReadsFollowSliceControl)
+{
+    for (const bool sliced : {true, false}) {
+        const std::uint64_t read_grants = sliced ? 4 : 1;
+        {
+            EventQueue eq;
+            FlashSystem fs(eq, testParams(), 3, sliced);
+            FaultSpec spec;
+            spec.model_weight_bytes = 8 * 1024;
+            spec.refresh_pages_per_s = 1000.0; // one beat per ms
+            fs.armFaults(spec);
+            eq.runUntil(kMs + kMs / 2);
+            fs.stopRefresh();
+            eq.run();
+            EXPECT_EQ(fs.refreshPages(), 1u);
+            // The scrub read plus its one-grant write-back.
+            EXPECT_EQ(busGrants(fs), read_grants + 1) << sliced;
+            fs.checkDrained();
+        }
+        {
+            EventQueue eq;
+            FlashSystem fs(eq, testParams(), 3, sliced);
+            fs.enableKvSwap(8 * 1024);
+            ASSERT_TRUE(fs.kvSwapOut(1024, 1024));
+            eq.run();
+            const std::uint64_t before = busGrants(fs);
+            EXPECT_EQ(before, 1u); // the write-out is one grant
+            int landed = 0;
+            fs.kvSwapIn(1024, 1024, [&] { ++landed; });
+            eq.run();
+            EXPECT_EQ(landed, 1);
+            EXPECT_EQ(busGrants(fs) - before, read_grants) << sliced;
+            fs.checkDrained();
+        }
+    }
+}
+
+// A swap-in frees its quota at issue, reads page by page round-robin
+// from a cursor that carries over to the next swap-in, and lands once,
+// after its last byte.
+TEST(FlashSystem, KvSwapInLandsOnceAfterItsLastPage)
+{
+    EventQueue eq;
+    FlashParams p = testParams();
+    p.geometry.channels = 4;
+    FlashSystem fs(eq, p);
+    fs.enableKvSwap(0);
+    ASSERT_TRUE(fs.kvSwapOut(5 * 1024, 5 * 1024));
+    eq.run();
+
+    int landed = 0;
+    fs.kvSwapIn(3 * 1024, 2 * 1024 + 100, [&] { ++landed; });
+    fs.kvSwapIn(2 * 1024, 1024, [&] { ++landed; });
+    eq.run();
+    EXPECT_EQ(landed, 2);
+    EXPECT_EQ(fs.deliveredBytes(WorkClass::KvSwap), 3u * 1024 + 100);
+    // Pages went to channels 0, 1, 2, then the second swap-in's page
+    // to channel 3.
+    for (std::uint32_t c = 0; c < 4; ++c)
+        EXPECT_EQ(fs.channel(c).pagesRead(), 1u) << c;
+    fs.checkDrained(); // both swap-ins returned their 5 pages of quota
+}
+
 // --- placement --------------------------------------------------------------
 
 TEST(WeightPlacement, OccupancyTracksAllocations)

@@ -45,6 +45,15 @@ TEST(Engine, DecodeAndPrefillReproduceGoldenStats)
     EXPECT_EQ(d.dram_bytes, 134479872u);
     EXPECT_EQ(d.channel_bytes_high, 35878912u);
     EXPECT_EQ(d.channel_bytes_low, 2068709376u);
+    EXPECT_DOUBLE_EQ(d.avg_channel_util, 0.97725237355600936);
+    EXPECT_EQ(d.array_read_bytes, 6648365056u);
+    EXPECT_DOUBLE_EQ(d.npu_flops, 4407173120.0);
+    EXPECT_DOUBLE_EQ(d.flash_flops, 9159311360.0);
+    EXPECT_EQ(d.weight_bytes_flash, 4579655680u);
+    EXPECT_EQ(d.weight_bytes_npu, 2068709376u);
+    EXPECT_DOUBLE_EQ(d.tokens_per_s, 3.4892856163987909);
+    EXPECT_TRUE(d.extrapolated);
+    EXPECT_EQ(d.simulated_layers, 4u);
 
     const TokenStats p = e.prefill(512);
     EXPECT_EQ(p.token_time, 3083208176u);
@@ -53,6 +62,15 @@ TEST(Engine, DecodeAndPrefillReproduceGoldenStats)
     EXPECT_EQ(p.dram_bytes, 268435456u);
     EXPECT_EQ(p.channel_bytes_high, 0u);
     EXPECT_EQ(p.channel_bytes_low, 6648365056u);
+    EXPECT_DOUBLE_EQ(p.avg_channel_util, 0.28270035049362169);
+    EXPECT_EQ(p.array_read_bytes, 6648365056u);
+    EXPECT_DOUBLE_EQ(p.npu_flops, 6666874523648.0);
+    EXPECT_DOUBLE_EQ(p.flash_flops, 0.0);
+    EXPECT_EQ(p.weight_bytes_flash, 0u);
+    EXPECT_EQ(p.weight_bytes_npu, 6648365056u);
+    EXPECT_DOUBLE_EQ(p.tokens_per_s, 166.06079472202333);
+    EXPECT_TRUE(p.extrapolated);
+    EXPECT_EQ(p.simulated_layers, 4u);
 }
 
 TEST(Engine, WeightTrafficConservation)

@@ -456,6 +456,48 @@ TEST(KvServing, PreemptsEvictsAndRecomputesUnderPressure)
     EXPECT_LT(r.sim_makespan, s.sim_makespan);
 }
 
+// Every unit kind in one serve: chunked prefill, decode steps, and
+// after an eviction Recompute-tagged rebuild chunks. The per-request
+// sums each completion adds to are pinned exactly, so a unit
+// accounted under the wrong class, twice or not at all moves them.
+TEST(KvServing, EvictionUnitSumsReproduceGolden)
+{
+    const CamConfig cfg = presetS();
+    const llm::ModelConfig model = llm::opt6_7b();
+    const Scheduler sched(cfg, model);
+    // final demand: 48 + 24 = 72 tokens -> 5 blocks of 16 each.
+    const std::vector<ServeRequest> reqs = {{48, 0, 24, 0},
+                                            {48, 0, 24, 0}};
+    SchedOptions opt;
+    opt.max_batch = 2;
+    opt.policy = SchedPolicy::ChunkedInterleave;
+    opt.prefill_chunk = 16;
+    opt.kv_block_tokens = 16;
+    opt.kv_budget_bytes = 8 * 16 * tokenKvBytes(model); // 8 blocks
+
+    const ServeStats s = sched.serve(reqs, opt);
+    ASSERT_EQ(s.requests.size(), 2u);
+    EXPECT_EQ(s.preemptions, 1u);
+    EXPECT_EQ(s.recompute_tokens, 64u);
+    EXPECT_EQ(s.recompute_channel_bytes, 3221225472u);
+
+    const ServeRequestStats &a = s.requests[0];
+    EXPECT_EQ(a.prefill_time, 5094859824u);
+    EXPECT_EQ(a.prefill_chunks, 3u);
+    EXPECT_EQ(a.recompute_time, 0u);
+    EXPECT_EQ(a.total_token_time, 11254245651u);
+    EXPECT_EQ(a.first_token_tick, 660562992u);
+
+    const ServeRequestStats &b = s.requests[1];
+    EXPECT_EQ(b.preemptions, 1u);
+    EXPECT_EQ(b.prefill_time, 5121922680u);
+    EXPECT_EQ(b.prefill_chunks, 3u);
+    EXPECT_EQ(b.recompute_time, 3421991936u);
+    EXPECT_EQ(b.recompute_chunks, 4u);
+    EXPECT_EQ(b.total_token_time, 11235773851u);
+    EXPECT_EQ(b.first_token_tick, 687625848u);
+}
+
 // Shrinking the KV budget can only delay first tokens: with
 // admission unconstrained (no warm context to reserve), a tighter
 // pool adds prefill stalls, evictions and recompute ahead of every

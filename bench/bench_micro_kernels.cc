@@ -10,8 +10,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -393,6 +395,29 @@ cpuModel()
     return "unknown";
 }
 
+/** `git rev-parse HEAD` of the source tree this binary was built
+ *  from, or "none" when it is not a git checkout or git fails. */
+std::string
+gitSha()
+{
+    const std::string root = CAMLLM_SOURCE_DIR;
+    if (!std::filesystem::exists(root + "/.git"))
+        return "none";
+    const std::string cmd =
+        "git -C '" + root + "' rev-parse HEAD 2>/dev/null";
+    FILE *p = popen(cmd.c_str(), "r");
+    if (!p)
+        return "none";
+    std::string out;
+    char buf[128];
+    while (std::fgets(buf, sizeof buf, p))
+        out += buf;
+    const int rc = pclose(p);
+    while (!out.empty() && std::isspace((unsigned char)out.back()))
+        out.pop_back();
+    return rc == 0 && !out.empty() ? out : "none";
+}
+
 /** Best-of-@p reps wall time of one call to @p fn, in seconds. */
 template <typename Fn>
 double
@@ -424,6 +449,8 @@ emitJson(double bench_wall_s)
     j.addString("host.nproc",
                 std::to_string(std::thread::hardware_concurrency()));
     j.addString("host.compiler", __VERSION__);
+    j.addString("host.build_type", CAMLLM_BUILD_TYPE);
+    j.addString("host.git_sha", gitSha());
 
     // One warm queue for the event-kernel keys, built and reserved
     // outside every timed span; each workload leaves it empty.

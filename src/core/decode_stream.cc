@@ -7,66 +7,28 @@
 
 namespace camllm::core {
 
-StreamCounters
-StreamCounters::operator-(const StreamCounters &o) const
-{
-    StreamCounters d;
-    d.t = t - o.t;
-    d.busy_sum = busy_sum - o.busy_sum;
-    d.ch_high = ch_high - o.ch_high;
-    d.ch_low = ch_low - o.ch_low;
-    d.dram_bytes = dram_bytes - o.dram_bytes;
-    d.array_reads = array_reads - o.array_reads;
-    d.pages_computed = pages_computed - o.pages_computed;
-    d.pages_read = pages_read - o.pages_read;
-    d.npu_flops = npu_flops - o.npu_flops;
-    d.flash_flops = flash_flops - o.flash_flops;
-    d.wb_flash = wb_flash - o.wb_flash;
-    d.wb_npu = wb_npu - o.wb_npu;
-    return d;
-}
-
-void
-StreamCounters::addScaled(const StreamCounters &d, std::uint64_t k)
-{
-    t += d.t * k;
-    busy_sum += d.busy_sum * double(k);
-    ch_high += d.ch_high * k;
-    ch_low += d.ch_low * k;
-    dram_bytes += d.dram_bytes * k;
-    array_reads += d.array_reads * k;
-    pages_computed += d.pages_computed * k;
-    pages_read += d.pages_read * k;
-    npu_flops += d.npu_flops * double(k);
-    flash_flops += d.flash_flops * double(k);
-    wb_flash += d.wb_flash * k;
-    wb_npu += d.wb_npu * k;
-}
-
-DecodeStream::DecodeStream(const Env &env)
+DecodeStream::DecodeStream(const Env &env, llm::KvView kv_view)
     : env_(env), quant_(llm::QuantSpec::of(env.cfg->quant)),
-      read_budget_(env.cfg->npu.weight_buffer_bytes)
+      kv_view_(kv_view), read_budget_(env.cfg->npu.weight_buffer_bytes)
 {
     client_ = env_.fs->connect(
         [this](const flash::Completion &c) { onCompletion(c); });
 }
 
-StreamCounters
+TokenStats
 DecodeStream::capture() const
 {
-    StreamCounters c;
-    c.t = env_.eq->now();
-    c.busy_sum = env_.fs->busBusySum();
-    c.ch_high = env_.fs->channelBytesHigh();
-    c.ch_low = env_.fs->channelBytesLow();
+    TokenStats c = own_;
+    c.token_time = env_.eq->now();
+    c.busy_ticks = env_.fs->busBusySum();
+    c.channel_bytes_high = env_.fs->channelBytesHigh();
+    c.channel_bytes_low = env_.fs->channelBytesLow();
     c.dram_bytes = env_.dram->bytesMoved();
-    c.array_reads = env_.fs->arrayReads();
+    c.array_read_bytes =
+        env_.fs->arrayReads() *
+        std::uint64_t(env_.cfg->flash.geometry.page_bytes);
     c.pages_computed = env_.fs->pagesComputed();
     c.pages_read = env_.fs->pagesRead();
-    c.npu_flops = npu_flops_;
-    c.flash_flops = flash_flops_;
-    c.wb_flash = wb_flash_;
-    c.wb_npu = wb_npu_;
     return c;
 }
 
@@ -116,17 +78,11 @@ const std::vector<std::uint64_t> &
 DecodeStream::kvSegmentsFor(const llm::Op &op)
 {
     // Map the op onto its logical token range: attention streams the
-    // whole accumulated context from token 0; an append writes the
-    // positions this unit produced (the chunk in prefill, the one new
-    // token in decode).
-    std::uint32_t start = 0, count = 0;
-    if (op.kind == llm::OpKind::KvAppend) {
-        start = prefillMode() ? kv_base_ : seq_;
-        count = prefillMode() ? prefill_tokens_ : 1;
-    } else {
-        start = 0;
-        count = prefillMode() ? kv_base_ + prefill_tokens_ : seq_;
-    }
+    // whole context it spans from token 0; an append writes the
+    // positions this unit produced.
+    const bool append = op.kind == llm::OpKind::KvAppend;
+    const std::uint32_t start = append ? unit_.kv_base : 0;
+    const std::uint32_t count = append ? unit_.tokens : ctx_;
     kv_segs_.clear();
     llm::kvSegmentBytes(kv_view_, op.kv_bytes, start, count,
                         kv_segs_);
@@ -150,72 +106,52 @@ DecodeStream::issueKvDram(std::uint32_t id,
 }
 
 void
-DecodeStream::startToken(std::uint32_t seq, TokenDone done)
+DecodeStream::startUnit(const Unit &unit, TokenDone done)
 {
-    seq_ = seq;
-    prefill_tokens_ = 0;
-    kv_base_ = 0;
-    last_chunk_ = true;
-    beginUnit(std::move(done));
-}
-
-void
-DecodeStream::startPrefillChunk(std::uint32_t chunk_len,
-                                std::uint32_t kv_base, bool last_chunk,
-                                TokenDone done)
-{
-    CAMLLM_ASSERT(chunk_len > 0);
-    seq_ = kv_base + chunk_len; // context the chunk's attention spans
-    prefill_tokens_ = chunk_len;
-    kv_base_ = kv_base;
-    last_chunk_ = last_chunk;
-    beginUnit(std::move(done));
-}
-
-void
-DecodeStream::beginUnit(TokenDone done)
-{
-    CAMLLM_ASSERT(done_ops_all_, "token already in flight");
+    CAMLLM_ASSERT(done_ops_all_, "unit already in flight");
     CAMLLM_ASSERT(!aborted_, "unit started on an aborted stream");
+    CAMLLM_ASSERT(unit.tokens > 0);
+    CAMLLM_ASSERT(unit.cls == flash::WorkClass::Prefill ||
+                      unit.cls == flash::WorkClass::Recompute ||
+                      (unit.cls == flash::WorkClass::Decode &&
+                       unit.tokens == 1 && unit.emits_token),
+                  "not a prefill chunk, recompute chunk or decode step");
     const CamConfig &cfg = *env_.cfg;
     const llm::ModelConfig &model = *env_.model;
 
+    unit_ = unit;
     done_ = std::move(done);
     done_ops_all_ = false;
-    token_start_ = env_.eq->now();
     start_ = capture();
 
     const std::uint32_t layers =
         std::min(model.n_layers, cfg.sample_layers);
-    if (model.n_layers > layers)
+    const bool extrapolate = model.n_layers > layers;
+    if (extrapolate)
         CAMLLM_ASSERT(layers >= 3,
                       "need >= 3 sampled layers to extrapolate");
+    // A chunk's attention is causal over its own positions too; a
+    // decode step's spans the kv_base entries already written.
     if (prefillMode()) {
-        graph_ = llm::buildPrefillChunkGraph(model, prefill_tokens_,
-                                             kv_base_, quant_, layers,
-                                             last_chunk_);
-        graph_is_decode_ = false;
-    } else if (graph_is_decode_ && graph_.n_layers == layers) {
-        // Per-request graph instancing: the decode graph's structure
-        // is seq-independent, so only rebind the seq-driven KV/SFU
-        // magnitudes instead of rebuilding every op.
-        llm::rebindDecodeGraphSeq(graph_, model, quant_, seq_);
+        ctx_ = unit.kv_base + unit.tokens;
+        graph_ = llm::buildPrefillChunkGraph(model, unit.tokens,
+                                             unit.kv_base, quant_, layers,
+                                             unit.emits_token);
     } else {
-        graph_ = llm::buildDecodeGraph(model, seq_, quant_, layers);
-        graph_is_decode_ = true;
+        ctx_ = unit.kv_base;
+        graph_ = llm::buildDecodeGraph(model, ctx_, quant_, layers);
     }
 
     const std::size_t n = graph_.ops.size();
     st_.assign(n, OpState{});
     dependents_.assign(n, {});
-    layer_last_.assign(layers, -1);
-    layer_snaps_.assign(layers, StreamCounters{});
+    snap_op_lo_ = -1;
+    snap_op_hi_ = -1;
     gemv_order_.clear();
     prefetch_next_ = 0;
     outstanding_read_bytes_ = 0;
     rr_read_channel_ = 0;
     ops_done_ = 0;
-    end_tick_ = 0;
 
     for (std::uint32_t i = 0; i < n; ++i) {
         const llm::Op &op = graph_.ops[i];
@@ -224,9 +160,10 @@ DecodeStream::beginUnit(TokenDone done)
             dependents_[d].push_back(i);
         if (op.kind == llm::OpKind::GemvWeight)
             gemv_order_.push_back(i);
-        if (op.layer != ~std::uint32_t(0))
-            layer_last_[op.layer] =
-                std::max(layer_last_[op.layer], std::int64_t(i));
+        if (extrapolate && op.layer == layers - 3)
+            snap_op_lo_ = i;
+        if (extrapolate && op.layer == layers - 2)
+            snap_op_hi_ = i;
     }
 
     for (std::uint32_t i = 0; i < n; ++i)
@@ -246,7 +183,7 @@ DecodeStream::opReady(std::uint32_t id)
 
     switch (op.kind) {
       case llm::OpKind::Sfu:
-        npu_flops_ += op.flops;
+        own_.npu_flops += op.flops;
         if (contendedNpu()) {
             env_.npu->acquireSfu(cfg.npu.sfuTime(op.sfu_elems),
                                  [this, id] { complete(id); });
@@ -260,7 +197,7 @@ DecodeStream::opReady(std::uint32_t id)
                     [this, id] { complete(id); });
         break;
       case llm::OpKind::KvLoadCompute: {
-        npu_flops_ += op.flops;
+        own_.npu_flops += op.flops;
         const Tick comp = cfg.npu.computeTime(op.flops);
         const std::vector<std::uint64_t> &segs = kvSegmentsFor(op);
         if (contendedNpu()) {
@@ -336,7 +273,7 @@ DecodeStream::issueGemv(std::uint32_t id)
             auto submit = [&](std::uint32_t cores) {
                 flash::RcTileWork tile;
                 tile.client = client_;
-                tile.cls = workClass();
+                tile.cls = unit_.cls;
                 tile.op_id = id;
                 tile.cores_used = cores;
                 tile.input_bytes = in_bytes;
@@ -356,8 +293,8 @@ DecodeStream::issueGemv(std::uint32_t id)
     s.rc_issued = true;
 
     const std::uint64_t flash_rows = op.rows - npuRows(plan);
-    flash_flops_ += 2.0 * double(flash_rows) * double(op.cols);
-    wb_flash_ += quant_.weightBytes(flash_rows * op.cols);
+    own_.flash_flops += 2.0 * double(flash_rows) * double(op.cols);
+    own_.weight_bytes_flash += quant_.weightBytes(flash_rows * op.cols);
 
     if (!s.reads_issued)
         issueReads(id, plan);
@@ -378,14 +315,14 @@ DecodeStream::issueReads(std::uint32_t id, const TilePlan &plan)
     if (bytes == 0)
         return;
 
-    npu_flops_ += 2.0 * double(npu_rows) * double(plan.cols) *
-                  graph_.ops[id].npu_compute_scale;
-    wb_npu_ += bytes;
+    own_.npu_flops += 2.0 * double(npu_rows) * double(plan.cols) *
+                      graph_.ops[id].npu_compute_scale;
+    own_.weight_bytes_npu += bytes;
     outstanding_read_bytes_ += bytes;
 
     flash::ReadPageJob job;
     job.client = client_;
-    job.cls = workClass();
+    job.cls = unit_.cls;
     job.op_id = id;
     rr_read_channel_ = env_.fs->submitPageReads(job, bytes, rr_read_channel_);
 }
@@ -448,13 +385,12 @@ DecodeStream::complete(std::uint32_t id)
 
     ++ops_done_;
     const bool last = ops_done_ == graph_.ops.size();
-    if (last)
-        end_tick_ = env_.eq->now();
 
-    // Layer-boundary snapshot for steady-state extrapolation.
-    if (op.layer != ~std::uint32_t(0) &&
-        layer_last_[op.layer] == std::int64_t(id))
-        layer_snaps_[op.layer] = capture();
+    // Layer-boundary snapshots for steady-state extrapolation.
+    if (snap_op_lo_ == std::int64_t(id))
+        snap_lo_ = capture();
+    if (snap_op_hi_ == std::int64_t(id))
+        snap_hi_ = capture();
 
     for (std::uint32_t dep : dependents_[id]) {
         CAMLLM_ASSERT(st_[dep].remaining_deps > 0);
@@ -463,7 +399,7 @@ DecodeStream::complete(std::uint32_t id)
     }
     tryPrefetch();
     if (last)
-        finishToken();
+        finishUnit();
 }
 
 void
@@ -490,50 +426,27 @@ DecodeStream::tryPrefetch()
 }
 
 void
-DecodeStream::finishToken()
+DecodeStream::finishUnit()
 {
     const llm::ModelConfig &model = *env_.model;
     const std::uint32_t layers = graph_.n_layers;
 
-    StreamCounters total = capture() - start_;
-    total.t = end_tick_ - token_start_;
-
-    TokenStats out;
+    TokenStats out = capture() - start_;
     out.simulated_layers = layers;
     if (layers < model.n_layers) {
-        // Steady-state delta between two interior layers (the last
-        // sampled layer also contains the final norm, so use k-3/k-2).
-        const StreamCounters delta =
-            layer_snaps_[layers - 2] - layer_snaps_[layers - 3];
-        total.addScaled(delta, model.n_layers - layers);
+        out.addScaled(snap_hi_ - snap_lo_, model.n_layers - layers);
         out.extrapolated = true;
     }
-
-    out.token_time = total.t;
-    const double tokens = prefillMode() ? double(prefill_tokens_) : 1.0;
-    out.tokens_per_s =
-        total.t > 0 ? tokens * double(kSec) / double(total.t) : 0.0;
-    out.avg_channel_util =
-        total.t > 0
-            ? total.busy_sum /
-                  (double(total.t) *
-                   double(env_.cfg->flash.geometry.channels))
-            : 0.0;
-    out.channel_bytes_high = total.ch_high;
-    out.channel_bytes_low = total.ch_low;
-    out.dram_bytes = total.dram_bytes;
-    out.array_read_bytes =
-        total.array_reads *
-        std::uint64_t(env_.cfg->flash.geometry.page_bytes);
-    out.pages_computed = total.pages_computed;
-    out.pages_read = total.pages_read;
-    out.npu_flops = total.npu_flops;
-    out.flash_flops = total.flash_flops;
-    out.weight_bytes_flash = total.wb_flash;
-    out.weight_bytes_npu = total.wb_npu;
+    const double t = double(out.token_time);
+    if (out.token_time > 0) {
+        out.tokens_per_s = double(unit_.tokens) * double(kSec) / t;
+        out.avg_channel_util =
+            out.busy_ticks /
+            (t * double(env_.cfg->flash.geometry.channels));
+    }
 
     done_ops_all_ = true;
-    // The callback may immediately start the next token (continuous
+    // The callback may immediately start the next unit (continuous
     // batching), so hand control over only after our state is settled.
     TokenDone done = std::move(done_);
     done_ = nullptr;

@@ -1,15 +1,18 @@
 /**
  * @file
- * One request's decode (or prefill) driver over shared simulation
- * resources.
+ * One request's unit driver over shared simulation resources.
  *
- * The stream owns the op-graph scheduling state for a single request:
- * it builds the token's graph, issues read-compute tiles and page
- * reads tagged with its flash ClientId, reacts to tagged completions,
- * and extrapolates the sampled layers to the model's full depth. The
- * event queue, DRAM model, flash system, NPU arbiter and plan cache
- * are shared: `core::Scheduler` runs one stream per request over one
- * device, and CambriconEngine is a batch of one through it.
+ * A unit is one prefill chunk, one KV-recompute chunk or one decode
+ * step; startUnit() runs one at a time per stream. The stream builds
+ * the unit's op graph, issues read-compute tiles and page reads tagged
+ * with its flash ClientId and the unit's WorkClass, reacts to tagged
+ * completions, and measures the unit as one TokenStats: it snapshots
+ * the additive counters at the unit's start and at two interior layer
+ * boundaries, and subtracts and extrapolates those snapshots to the
+ * model's full depth. The event queue, DRAM model, flash system, NPU
+ * arbiter and plan cache are shared: `core::Scheduler` runs one stream
+ * per request over one device, and CambriconEngine is a batch of one
+ * through it.
  */
 
 #ifndef CAMLLM_CORE_DECODE_STREAM_H
@@ -17,7 +20,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "core/engine.h"
@@ -32,27 +34,7 @@ namespace camllm::core {
 
 class NpuArbiter;
 
-/** Snapshot of every additive counter (for layer extrapolation). */
-struct StreamCounters
-{
-    Tick t = 0;
-    double busy_sum = 0.0; ///< sum of channel busy ticks
-    std::uint64_t ch_high = 0;
-    std::uint64_t ch_low = 0;
-    std::uint64_t dram_bytes = 0;
-    std::uint64_t array_reads = 0;
-    std::uint64_t pages_computed = 0;
-    std::uint64_t pages_read = 0;
-    double npu_flops = 0.0;
-    double flash_flops = 0.0;
-    std::uint64_t wb_flash = 0;
-    std::uint64_t wb_npu = 0;
-
-    StreamCounters operator-(const StreamCounters &o) const;
-    void addScaled(const StreamCounters &d, std::uint64_t k);
-};
-
-/** Per-request decode driver over shared co-simulation resources. */
+/** Per-request unit driver over shared co-simulation resources. */
 class DecodeStream
 {
   public:
@@ -77,40 +59,53 @@ class DecodeStream
         NpuArbiter *npu = nullptr;
     };
 
-    /** Fires when a token completes, with its (extrapolated) stats.
+    /**
+     * One unit of device work: `tokens` positions written on top of
+     * `kv_base` KV entries already resident. A decode step is
+     * (Decode, seq, 1); a prefill or recompute chunk is chunk_len
+     * prompt positions at the KV its earlier chunks wrote. The class
+     * tags every flash transfer the unit submits, so re-streamed
+     * recompute weights are accounted apart from first-pass prefill.
+     */
+    struct Unit
+    {
+        flash::WorkClass cls = flash::WorkClass::Decode;
+        std::uint32_t kv_base = 0;
+        std::uint32_t tokens = 1;
+        /** The unit ends with the head projection and emits a token:
+         *  every decode step and a prompt's last chunk, never a
+         *  recompute chunk. */
+        bool emits_token = true;
+    };
+
+    /** Fires when a unit completes, with its (extrapolated) stats.
      *  In batch mode the byte/utilization counters cover the whole
-     *  device over the token's span, not only this stream's share. */
+     *  device over the unit's span, not only this stream's share. */
     using TokenDone = std::function<void(const TokenStats &)>;
 
-    /** Connects a completion port on env.fs. */
-    explicit DecodeStream(const Env &env);
+    /**
+     * Connects a completion port on env.fs. @p kv_view is the
+     * request's KV addressing: a contiguous view issues each
+     * attention/append transfer as one DRAM burst; a paged view splits
+     * every KV transfer at block boundaries into one DRAM request per
+     * touched block (the block-table indirection of a paged KV cache).
+     * A block that covers the whole stream reproduces the contiguous
+     * sequence bit-identically.
+     */
+    DecodeStream(const Env &env, llm::KvView kv_view);
 
     DecodeStream(const DecodeStream &) = delete;
     DecodeStream &operator=(const DecodeStream &) = delete;
 
     /**
-     * Begin one decode step at the current tick. @p seq is the
-     * request's context length. @p done fires from inside the
-     * simulation when the token's last op completes. One token may be
-     * in flight per stream.
+     * Begin @p unit at the current tick. A prefill-class unit
+     * (Prefill, Recompute) runs its batched GeMMs wholly on the NPU,
+     * appends its own K/V and attends causally over kv_base + tokens
+     * entries; a decode step splits each GeMV between flash and NPU
+     * and attends over its kv_base entries. @p done fires from inside
+     * the simulation when the unit's last op completes.
      */
-    void startToken(std::uint32_t seq, TokenDone done);
-
-    /**
-     * Begin one chunk of a chunked prefill at the current tick:
-     * @p chunk_len prompt positions on top of @p kv_base KV entries
-     * earlier chunks wrote. The chunk appends its own K/V to DRAM as
-     * it goes; only the last chunk (@p last_chunk) runs the head
-     * projection and emits the request's first token. A single chunk
-     * covering the whole prompt with kv_base == 0 is the one-shot
-     * prefill.
-     */
-    void startPrefillChunk(std::uint32_t chunk_len,
-                           std::uint32_t kv_base, bool last_chunk,
-                           TokenDone done);
-
-    /** True between startToken() and its done callback. */
-    bool busy() const { return !done_ops_all_; }
+    void startUnit(const Unit &unit, TokenDone done);
 
     /**
      * Abandon the stream mid-unit (request cancelled or timed out).
@@ -133,30 +128,6 @@ class DecodeStream
      */
     void setReadBudget(std::uint64_t bytes) { read_budget_ = bytes; }
 
-    /**
-     * KV addressing mode for this request's stream. The default
-     * contiguous view issues each attention/append transfer as one
-     * DRAM burst (the historical behavior, bit-exact). A paged view
-     * splits every KV transfer at block boundaries into one DRAM
-     * request per touched block — the block-table indirection of a
-     * paged KV cache, which pays per-block DRAM latency and
-     * interleaves with neighbors at block granularity. A block that
-     * covers the whole stream reproduces the contiguous sequence
-     * bit-identically. Takes effect from the next unit.
-     */
-    void setKvView(llm::KvView view) { kv_view_ = view; }
-
-    /**
-     * Override the WorkClass tag on submitted flash work (set by the
-     * scheduler while KV-recompute prefill chunks run, so re-streamed
-     * weight traffic is accounted apart from first-pass prefill).
-     * std::nullopt restores phase-derived tagging.
-     */
-    void setWorkClass(std::optional<flash::WorkClass> cls)
-    {
-        class_override_ = cls;
-    }
-
   private:
     /** Per-op scheduling state. */
     struct OpState
@@ -174,15 +145,11 @@ class DecodeStream
         bool completed = false;
     };
 
-    bool prefillMode() const { return prefill_tokens_ > 0; }
-    bool contendedNpu() const;
-    flash::WorkClass workClass() const
+    bool prefillMode() const
     {
-        if (class_override_)
-            return *class_override_;
-        return prefillMode() ? flash::WorkClass::Prefill
-                             : flash::WorkClass::Decode;
+        return unit_.cls != flash::WorkClass::Decode;
     }
+    bool contendedNpu() const;
     /** Fills and returns kv_segs_ (per-stream scratch: the KV DRAM
      *  paths stay allocation-free after warmup, per the PR 1 hot-path
      *  contract). Valid until the next call on this stream. */
@@ -190,7 +157,6 @@ class DecodeStream
     void issueKvDram(std::uint32_t id,
                      const std::vector<std::uint64_t> &segs,
                      std::function<void()> done);
-    void beginUnit(TokenDone done);
     const TilePlan &planFor(std::uint64_t rows, std::uint64_t cols) const
     {
         return env_.plans->planFor(rows, cols);
@@ -208,30 +174,34 @@ class DecodeStream
     void maybeCompleteGemv(std::uint32_t id);
     void complete(std::uint32_t id);
     void tryPrefetch();
-    void finishToken();
-    StreamCounters capture() const;
+    void finishUnit();
+    /** The additive counters now: device-wide bytes, pages and busy
+     *  ticks, this stream's flops and weight bytes, and the tick. */
+    TokenStats capture() const;
 
     Env env_;
     llm::QuantSpec quant_;
     flash::ClientId client_ = 0;
-    llm::KvView kv_view_; ///< contiguous unless the scheduler pages
-    std::optional<flash::WorkClass> class_override_;
+    const llm::KvView kv_view_;
     std::vector<std::uint64_t> kv_segs_; ///< kvSegmentsFor scratch
 
-    std::uint32_t seq_ = 0;
-    std::uint32_t prefill_tokens_ = 0;
-    std::uint32_t kv_base_ = 0;  ///< KV written by earlier chunks
-    bool last_chunk_ = true;     ///< head projection present
+    Unit unit_;            ///< the unit in flight
+    std::uint32_t ctx_ = 0; ///< KV entries the unit's attention spans
     TokenDone done_;
     bool done_ops_all_ = true;
     bool aborted_ = false;
 
     llm::DecodeGraph graph_;
-    bool graph_is_decode_ = false; ///< decode graph cached for rebind
     std::vector<OpState> st_;
     std::vector<std::vector<std::uint32_t>> dependents_;
-    std::vector<std::int64_t> layer_last_;
-    std::vector<StreamCounters> layer_snaps_;
+
+    // Steady-state extrapolation reads the counters at the ends of
+    // sampled layers k-3 and k-2 (the last sampled layer also holds
+    // the final norm). -1 when the unit simulates the full depth.
+    std::int64_t snap_op_lo_ = -1; ///< last op of layer k-3
+    std::int64_t snap_op_hi_ = -1; ///< last op of layer k-2
+    TokenStats snap_lo_;
+    TokenStats snap_hi_;
 
     std::vector<std::uint32_t> gemv_order_;
     std::size_t prefetch_next_ = 0;
@@ -240,14 +210,11 @@ class DecodeStream
 
     std::uint32_t rr_read_channel_ = 0;
     std::uint32_t ops_done_ = 0;
-    Tick token_start_ = 0;
-    Tick end_tick_ = 0;
-    StreamCounters start_;
+    TokenStats start_; ///< capture() at the unit's first tick
 
-    double npu_flops_ = 0.0;
-    double flash_flops_ = 0.0;
-    std::uint64_t wb_flash_ = 0;
-    std::uint64_t wb_npu_ = 0;
+    /** This stream's own running counters since construction: only
+     *  npu_flops, flash_flops and the weight_bytes_* fields are set. */
+    TokenStats own_;
 };
 
 } // namespace camllm::core

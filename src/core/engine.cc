@@ -23,6 +23,42 @@ decodeAt(std::uint32_t seq)
 
 } // namespace
 
+TokenStats
+TokenStats::operator-(const TokenStats &o) const
+{
+    TokenStats d;
+    d.token_time = token_time - o.token_time;
+    d.busy_ticks = busy_ticks - o.busy_ticks;
+    d.channel_bytes_high = channel_bytes_high - o.channel_bytes_high;
+    d.channel_bytes_low = channel_bytes_low - o.channel_bytes_low;
+    d.dram_bytes = dram_bytes - o.dram_bytes;
+    d.array_read_bytes = array_read_bytes - o.array_read_bytes;
+    d.pages_computed = pages_computed - o.pages_computed;
+    d.pages_read = pages_read - o.pages_read;
+    d.npu_flops = npu_flops - o.npu_flops;
+    d.flash_flops = flash_flops - o.flash_flops;
+    d.weight_bytes_flash = weight_bytes_flash - o.weight_bytes_flash;
+    d.weight_bytes_npu = weight_bytes_npu - o.weight_bytes_npu;
+    return d;
+}
+
+void
+TokenStats::addScaled(const TokenStats &d, std::uint64_t k)
+{
+    token_time += d.token_time * k;
+    busy_ticks += d.busy_ticks * double(k);
+    channel_bytes_high += d.channel_bytes_high * k;
+    channel_bytes_low += d.channel_bytes_low * k;
+    dram_bytes += d.dram_bytes * k;
+    array_read_bytes += d.array_read_bytes * k;
+    pages_computed += d.pages_computed * k;
+    pages_read += d.pages_read * k;
+    npu_flops += d.npu_flops * double(k);
+    flash_flops += d.flash_flops * double(k);
+    weight_bytes_flash += d.weight_bytes_flash * k;
+    weight_bytes_npu += d.weight_bytes_npu * k;
+}
+
 CambriconEngine::CambriconEngine(const CamConfig &config,
                                  const llm::ModelConfig &model)
     : sched_(std::make_unique<Scheduler>(config, model)),

@@ -16,6 +16,11 @@
  * serves one request on a fresh device and reports the stats of the
  * step that emitted its first token, so a batch of one through
  * Scheduler::serve() is the engine by construction.
+ *
+ * Every unit of device work (decode step, prefill chunk, recompute
+ * chunk) is measured as one TokenStats, an additive record that the
+ * stream snapshots, subtracts and extrapolates; a per-resource
+ * breakdown of a unit is a further field of it.
  */
 
 #ifndef CAMLLM_CORE_ENGINE_H
@@ -31,7 +36,16 @@
 
 namespace camllm::core {
 
-/** Measured (and possibly extrapolated) results of one decode step. */
+/**
+ * Measured (and possibly extrapolated) results of one unit: a decode
+ * step or a prefill/recompute chunk. It is an additive record: every
+ * field but the derived tokens_per_s, avg_channel_util, extrapolated
+ * and simulated_layers sums over spans, so the stream measures a unit
+ * by subtracting two snapshots (operator-) and extrapolates the
+ * sampled layers by adding a per-layer delta k times (addScaled). The
+ * derived fields are set once the unit is measured; the arithmetic
+ * leaves them default.
+ */
 struct TokenStats
 {
     Tick token_time = 0;
@@ -39,6 +53,9 @@ struct TokenStats
 
     /** Mean flash-channel bus utilization over the token. */
     double avg_channel_util = 0.0;
+    /** Channel busy ticks summed over every channel (the numerator of
+     *  avg_channel_util). */
+    double busy_ticks = 0.0;
 
     std::uint64_t channel_bytes_high = 0; ///< rc inputs + results
     std::uint64_t channel_bytes_low = 0;  ///< read-page data
@@ -56,6 +73,13 @@ struct TokenStats
 
     bool extrapolated = false;
     std::uint32_t simulated_layers = 0;
+
+    /** The additive fields of *this minus @p o; derived fields stay
+     *  default. */
+    TokenStats operator-(const TokenStats &o) const;
+
+    /** Add @p d's additive fields @p k times over. */
+    void addScaled(const TokenStats &d, std::uint64_t k);
 
     /** Bytes that crossed the D2D link or the DRAM bus (Fig 16a). */
     std::uint64_t

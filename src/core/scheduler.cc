@@ -1,7 +1,6 @@
 #include "scheduler.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "common/logging.h"
 #include "common/stats.h"
@@ -42,8 +41,8 @@ struct ReqRun
     std::unique_ptr<DecodeStream> stream;
     ServeRequestStats stats;
     std::uint32_t prefill_done = 0; ///< prompt tokens prefilled
-    std::uint32_t cur_chunk = 0;    ///< in-flight chunk length
     std::uint32_t tokens_done = 0;  ///< decode steps completed
+    DecodeStream::Unit unit;        ///< the unit in flight
     Tick token_start = 0;
     Tick sim_token_sum = 0; ///< simulated (un-extrapolated) time
     bool finished = false;
@@ -345,70 +344,62 @@ class ServeRun
                                   : 0.7 * prefill_ms_per_tok_ + 0.3 * ms;
     }
 
-    void onChunkDone(std::size_t i, const TokenStats &s)
+    // The one completion handler: account the unit that just landed
+    // by its class, then take the request's next step.
+    void onUnitDone(std::size_t i, const TokenStats &s)
     {
         ReqRun &r = runs_[i];
+        const DecodeStream::Unit u = r.unit;
         r.sim_token_sum += eq_.now() - r.token_start;
-        r.stats.prefill_time += s.token_time;
-        ++r.stats.prefill_chunks;
-        noteChunkRate(s, r.cur_chunk);
-        r.prefill_done += r.cur_chunk;
-        r.cur_chunk = 0;
-        if (r.prefill_done >= r.spec.prompt) {
-            // The last chunk's head projection emitted the request's
-            // first token.
-            r.stats.first_token = s;
-            r.stats.first_token_tick = eq_.now();
-            r.first_emitted = true;
+        switch (u.cls) {
+        case flash::WorkClass::Prefill:
+            r.stats.prefill_time += s.token_time;
+            ++r.stats.prefill_chunks;
+            noteChunkRate(s, u.tokens);
+            r.prefill_done += u.tokens;
+            // Publish newly completed whole blocks of the shared
+            // prefix to the tree (cache ref on top of the table's —
+            // the block now survives this request's eviction or
+            // retirement). Blocks the tree already has insert as
+            // no-ops.
+            if (const std::size_t shareable = shareableBlocks(r.spec)) {
+                const std::size_t done_blocks = std::min<std::size_t>(
+                    r.prefill_done / pool_.blockTokens(), shareable);
+                for (std::size_t k = 0; k < done_blocks; ++k)
+                    tree_.insert(r.spec.prefix_id, k, r.kv.blocks[k]);
+            }
+            break;
+        case flash::WorkClass::Recompute:
+            r.stats.recompute_time += s.token_time;
+            ++r.stats.recompute_chunks;
+            noteChunkRate(s, u.tokens);
+            if (!r.first_emitted)
+                r.recompute_pre_ft += s.token_time;
+            r.rebuild_from += u.tokens;
+            CAMLLM_ASSERT(r.recompute_pending >= u.tokens);
+            r.recompute_pending -= u.tokens;
+            out_.recompute_tokens += u.tokens;
+            break;
+        default: // Decode: startUnit admits no other class
+            r.stats.total_token_time += s.token_time;
+            ++r.tokens_done;
+            break;
         }
-        // Publish newly completed whole blocks of the shared prefix
-        // to the tree (cache ref on top of the table's — the block
-        // now survives this request's eviction or retirement).
-        // Blocks the tree already has insert as no-ops.
-        if (const std::size_t shareable = shareableBlocks(r.spec)) {
-            const std::size_t done_blocks = std::min<std::size_t>(
-                r.prefill_done / pool_.blockTokens(), shareable);
-            for (std::size_t k = 0; k < done_blocks; ++k)
-                tree_.insert(r.spec.prefix_id, k, r.kv.blocks[k]);
+        // The request's first emitting unit — its last prompt chunk,
+        // or the first decode step of a decode-only request — emits
+        // the first token; every later one is a decode step.
+        if (u.emits_token) {
+            if (r.first_emitted) {
+                tbt_ms_.add(double(s.token_time) / double(kMs));
+            } else {
+                r.stats.first_token = s;
+                r.stats.first_token_tick = eq_.now();
+                r.first_emitted = true;
+            }
         }
-        // Next chunk or the first decode step — or, at this unit
-        // boundary, a pending eviction.
+        // Next unit — or, at this unit boundary, a pending eviction
+        // or the request's retirement. Continuous: no batch barrier.
         startNext(i);
-    }
-
-    void onRecomputeDone(std::size_t i, const TokenStats &s)
-    {
-        ReqRun &r = runs_[i];
-        r.sim_token_sum += eq_.now() - r.token_start;
-        r.stats.recompute_time += s.token_time;
-        ++r.stats.recompute_chunks;
-        noteChunkRate(s, r.cur_chunk);
-        if (!r.first_emitted)
-            r.recompute_pre_ft += s.token_time;
-        r.rebuild_from += r.cur_chunk;
-        CAMLLM_ASSERT(r.recompute_pending >= r.cur_chunk);
-        r.recompute_pending -= r.cur_chunk;
-        out_.recompute_tokens += r.cur_chunk;
-        r.cur_chunk = 0;
-        startNext(i); // next rebuild range, or where it left off
-    }
-
-    void onTokenDone(std::size_t i, const TokenStats &s)
-    {
-        ReqRun &r = runs_[i];
-        r.sim_token_sum += eq_.now() - r.token_start;
-        r.stats.total_token_time += s.token_time;
-        if (r.tokens_done == 0 && r.spec.prompt == 0) {
-            // Decode-only request: its first decode step emits the
-            // first token.
-            r.stats.first_token = s;
-            r.stats.first_token_tick = eq_.now();
-            r.first_emitted = true;
-        } else {
-            tbt_ms_.add(double(s.token_time) / double(kMs));
-        }
-        ++r.tokens_done;
-        startNext(i); // continuous: no batch barrier
     }
 
     // The policy's next prefill (or recompute) chunk out of @p limit
@@ -453,11 +444,12 @@ class ServeRun
         // of swapped blocks streams back over the channels
         // (WorkClass::KvSwap); everything else recomputes as prefill
         // chunks under the policy's budget — no token is emitted
-        // (last_chunk = false) and the re-streamed weight traffic is
+        // (emits_token = false) and the re-streamed weight traffic is
         // tagged WorkClass::Recompute. Earlier positions are always
         // resident before later ones rebuild, so attention inputs
         // stay valid mid-rebuild. A resumed run holds a full
         // reservation, so its ensureKv can never stall.
+        DecodeStream::Unit unit;
         if (r.rebuild_from < r.rebuild_target) {
             const std::uint32_t B = pool_.blockTokens();
             const std::size_t blk = B > 0 ? r.rebuild_from / B : 0;
@@ -483,43 +475,30 @@ class ServeRun
                     limit = std::uint32_t(k) * B - r.rebuild_from;
                     break;
                 }
-            const std::uint32_t chunk = chunkFor(limit);
-            if (!ensureKv(i, std::uint64_t(r.rebuild_from) + chunk))
-                return;
-            r.cur_chunk = chunk;
-            r.token_start = eq_.now();
-            r.stream->setWorkClass(flash::WorkClass::Recompute);
-            r.stream->startPrefillChunk(
-                chunk, r.rebuild_from, /*last_chunk=*/false,
-                [this, i](const TokenStats &s) { onRecomputeDone(i, s); });
-            return;
-        }
-        if (r.prefill_done < r.spec.prompt) {
-            // PREFILL: the next chunk of the remaining prompt.
+            unit = {flash::WorkClass::Recompute, r.rebuild_from,
+                    chunkFor(limit), /*emits_token=*/false};
+        } else if (r.prefill_done < r.spec.prompt) {
+            // PREFILL: the next chunk of the remaining prompt; the
+            // last one's head projection emits the first token.
             const std::uint32_t remaining =
                 r.spec.prompt - r.prefill_done;
             const std::uint32_t chunk = chunkFor(remaining);
-            const std::uint32_t kv_base =
-                r.spec.context + r.prefill_done;
-            if (!ensureKv(i, std::uint64_t(kv_base) + chunk))
-                return;
-            r.cur_chunk = chunk;
-            r.token_start = eq_.now();
-            r.stream->setWorkClass(std::nullopt);
-            r.stream->startPrefillChunk(
-                chunk, kv_base, chunk == remaining,
-                [this, i](const TokenStats &s) { onChunkDone(i, s); });
-            return;
+            unit = {flash::WorkClass::Prefill,
+                    r.spec.context + r.prefill_done, chunk,
+                    chunk == remaining};
+        } else {
+            // DECODE: one token on top of the request's KV stream.
+            unit = {flash::WorkClass::Decode,
+                    r.spec.context + r.spec.prompt + r.tokens_done, 1,
+                    /*emits_token=*/true};
         }
-        // DECODE: the request's KV stream grows with every token.
-        const std::uint32_t seq =
-            r.spec.context + r.spec.prompt + r.tokens_done;
-        if (!ensureKv(i, std::uint64_t(seq) + 1)) // appends one token
+        // Every unit appends its tokens' KV after kv_base.
+        if (!ensureKv(i, std::uint64_t(unit.kv_base) + unit.tokens))
             return;
+        r.unit = unit;
         r.token_start = eq_.now();
-        r.stream->setWorkClass(std::nullopt);
-        r.stream->startToken(seq, [this, i](const TokenStats &s) {
-            onTokenDone(i, s);
+        r.stream->startUnit(unit, [this, i](const TokenStats &s) {
+            onUnitDone(i, s);
         });
     }
 
@@ -913,8 +892,8 @@ class ServeRun
                 break;
             const std::size_t i = next_admit_++;
             ++out_.admitted;
-            r.stream = std::make_unique<DecodeStream>(env_);
-            r.stream->setKvView(llm::KvView{opt_.kv_block_tokens});
+            r.stream = std::make_unique<DecodeStream>(
+                env_, llm::KvView{opt_.kv_block_tokens});
             // Prefix sharing: map the tree's cached leading blocks
             // into this request's table (refcounted — the tree keeps
             // its own ref) and skip their prefill.

@@ -26,7 +26,10 @@ DieModel::advanceRc()
         engine_.inputReady(rc_queue_.front().tile_seq)) {
         rc_reading_ = rc_queue_.front();
         rc_queue_.pop_front();
-        startRcSense(0, fault_ ? drawFor(0) : 0);
+        // The compute plane is plane 0 of the die.
+        startRcSense(0, fault_ ? fault_->drawRetriesForPlane(channel_,
+                                                             die_, 0)
+                               : 0);
     }
 
     // Stage 2: data register -> cache register move.
@@ -113,15 +116,9 @@ DieModel::pushReadJob(const ReadPageJob &job)
                   job.bytes <= params_.geometry.page_bytes,
                   "read job of %u bytes", job.bytes);
     rd_reading_ = job;
-    startReadSense(0, fault_ ? drawFor(readPlane()) : 0);
-}
-
-std::uint32_t
-DieModel::drawFor(std::uint32_t plane)
-{
-    return fault_->wearAware()
-               ? fault_->drawRetriesForPlane(channel_, die_, plane)
-               : fault_->drawRetries();
+    startReadSense(0, fault_ ? fault_->drawRetriesForPlane(
+                                   channel_, die_, readPlane())
+                             : 0);
 }
 
 /**

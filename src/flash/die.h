@@ -89,10 +89,6 @@ class DieModel
     void startReadSense(std::uint32_t attempt, std::uint32_t retries);
     void drainFailedRead(std::uint32_t attempt, std::uint32_t retries);
 
-    /** Ladder draw for a fresh sense of @p plane: per-plane wear when
-     *  the fault model tracks it, the uniform spec draw otherwise. */
-    std::uint32_t drawFor(std::uint32_t plane);
-
     /** Bus grant size for @p job's page: one slice under Slice
      *  Control, the whole page (0) otherwise. */
     std::uint64_t sliceBytes(const ReadPageJob &job) const

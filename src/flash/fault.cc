@@ -32,18 +32,27 @@ FaultSpec::addOffline(std::uint32_t channel, Tick t0)
     channel_faults.push_back(f);
 }
 
+namespace {
+
+/** A hand-set first-sense UCP scaled by the retention model's raw BER
+ *  at (@p age_hours, @p pe_cycles) over its fresh BER, clamped to the
+ *  page-level ceiling. At age 0 and no wear the ratio is exactly 1. */
 double
-FaultSpec::effectiveUcpRate() const
+scaledUcp(double ucp_rate, double age_hours, double pe_cycles)
 {
     if (ucp_rate <= 0.0)
         return 0.0;
-    double scale = 1.0;
-    if (retention_hours > 0.0 || pe_cycles > 0.0) {
-        const ecc::RetentionParams p;
-        scale = ecc::retentionBer(retention_hours, pe_cycles, p) /
-                p.base_ber;
-    }
-    return std::min(ucp_rate * scale, 0.9);
+    const ecc::RetentionParams rp;
+    const double ber = ecc::retentionBer(age_hours, pe_cycles, rp);
+    return std::min(ucp_rate * (ber / rp.base_ber), 0.9);
+}
+
+} // namespace
+
+double
+FaultSpec::effectiveUcpRate() const
+{
+    return scaledUcp(ucp_rate, retention_hours, pe_cycles);
 }
 
 FaultModel::FaultModel(const FaultSpec &spec, std::uint32_t page_bytes,
@@ -54,9 +63,7 @@ FaultModel::FaultModel(const FaultSpec &spec, std::uint32_t page_bytes,
     CAMLLM_ASSERT(page_bytes_ > 0);
     uniform_ber_ =
         ecc::retentionBer(spec_.retention_hours, spec_.pe_cycles);
-    ucp_ = spec_.ecc_correctable_bits > 0
-               ? ucpAt(spec_.retention_hours, spec_.pe_cycles)
-               : spec_.effectiveUcpRate();
+    ucp_ = ucpAt(spec_.retention_hours, spec_.pe_cycles);
 
     const double scale = eccSenseScale();
     sense_[0] = scale == 1.0 ? t_read : Tick(double(t_read) * scale);
@@ -70,17 +77,12 @@ FaultModel::FaultModel(const FaultSpec &spec, std::uint32_t page_bytes,
 double
 FaultModel::ucpAt(double age_hours, double pe_cycles) const
 {
-    const ecc::RetentionParams rp;
-    const double ber = ecc::retentionBer(age_hours, pe_cycles, rp);
-    if (spec_.ecc_correctable_bits > 0) {
-        return std::min(ecc::pageUcp(ber, spec_.ecc_correctable_bits,
-                                     FaultSpec::kEccCodewordBytes,
-                                     page_bytes_),
-                        0.9);
-    }
-    if (spec_.ucp_rate <= 0.0)
-        return 0.0;
-    return std::min(spec_.ucp_rate * (ber / rp.base_ber), 0.9);
+    if (spec_.ecc_correctable_bits == 0)
+        return scaledUcp(spec_.ucp_rate, age_hours, pe_cycles);
+    return std::min(ecc::pageUcp(ecc::retentionBer(age_hours, pe_cycles),
+                                 spec_.ecc_correctable_bits,
+                                 FaultSpec::kEccCodewordBytes, page_bytes_),
+                    0.9);
 }
 
 std::uint32_t

@@ -217,8 +217,6 @@ class FaultModel
      *  drawRetriesForPlane; must outlive the model. */
     void setWearSource(const WeightPlacement *placement);
 
-    bool wearAware() const { return wear_ != nullptr; }
-
     /** UCP a read of data at @p age_hours / @p pe_cycles sees under
      *  this spec (ECC codeword tail when armed, scaled ucp_rate
      *  otherwise), before ladder decay. Clamped to [0, 0.9]. */

@@ -223,29 +223,6 @@ buildDecodeGraph(const ModelConfig &model, std::uint32_t seq,
 }
 
 void
-rebindDecodeGraphSeq(DecodeGraph &g, const ModelConfig &model,
-                     const QuantSpec &quant, std::uint32_t seq)
-{
-    CAMLLM_ASSERT(seq > 0);
-    const std::uint64_t d = model.d_model;
-    const std::uint64_t kvp = model.kvProjDim();
-    const std::uint32_t act_b = quant.act_bits / 8;
-    // Matches Builder::layer with pos == 1 (decode): score and
-    // context each load the K (or V) stream and cost 2*seq*d flops.
-    const std::uint64_t kv_bytes = std::uint64_t(seq) * kvp * act_b;
-    const double kv_flops = 2.0 * double(seq) * double(d);
-    for (Op &op : g.ops) {
-        if (op.kind == OpKind::KvLoadCompute) {
-            op.kv_bytes = kv_bytes;
-            op.flops = kv_flops;
-        } else if (op.kind == OpKind::Sfu && op.name == "softmax") {
-            op.sfu_elems = double(model.n_heads) * seq;
-            op.flops = op.sfu_elems;
-        }
-    }
-}
-
-void
 kvSegmentBytes(const KvView &view, std::uint64_t bytes,
                std::uint32_t start_tok, std::uint32_t count,
                std::vector<std::uint64_t> &out)

@@ -111,17 +111,6 @@ DecodeGraph buildPrefillChunkGraph(const ModelConfig &model,
                                    bool last_chunk = true);
 
 /**
- * Rebind a decode graph built by buildDecodeGraph to context length
- * @p seq in place. The decode graph's structure (ops, deps, weight
- * shapes) is seq-independent; only the KV-load magnitudes and the
- * softmax width scale with context, so a multi-token request can
- * reinstance its graph per step without rebuilding it. Produces a
- * graph identical to buildDecodeGraph(model, seq, quant, g.n_layers).
- */
-void rebindDecodeGraphSeq(DecodeGraph &g, const ModelConfig &model,
-                          const QuantSpec &quant, std::uint32_t seq);
-
-/**
  * Block-table view of one request's KV stream. With block_tokens == 0
  * the stream is contiguous (one giant block): every KV transfer is a
  * single DRAM burst, the historical addressing. With block_tokens > 0

@@ -217,33 +217,6 @@ TEST(OpGraph, SampledGraphScalesLinearly)
               (g2.totalWeightElems() - head) / 2);
 }
 
-// Rebinding a decode graph to a new context length must reproduce a
-// fresh build field-for-field (the batch engine reinstances a
-// request's graph per token this way).
-TEST(OpGraph, RebindSeqMatchesFreshBuild)
-{
-    for (const ModelConfig &m : {opt6_7b(), llama2_70b()}) {
-        const QuantSpec q = QuantSpec::of(QuantMode::W8A8);
-        DecodeGraph g = buildDecodeGraph(m, 512, q, 4);
-        rebindDecodeGraphSeq(g, m, q, 777);
-        const DecodeGraph fresh = buildDecodeGraph(m, 777, q, 4);
-        ASSERT_EQ(g.ops.size(), fresh.ops.size());
-        for (std::size_t i = 0; i < g.ops.size(); ++i) {
-            const Op &a = g.ops[i];
-            const Op &b = fresh.ops[i];
-            EXPECT_EQ(a.kind, b.kind) << i;
-            EXPECT_EQ(a.name, b.name) << i;
-            EXPECT_EQ(a.rows, b.rows) << i;
-            EXPECT_EQ(a.cols, b.cols) << i;
-            EXPECT_EQ(a.kv_bytes, b.kv_bytes) << i;
-            EXPECT_EQ(a.flops, b.flops) << i;
-            EXPECT_EQ(a.sfu_elems, b.sfu_elems) << i;
-            EXPECT_EQ(a.npu_compute_scale, b.npu_compute_scale) << i;
-            EXPECT_EQ(a.deps, b.deps) << i;
-        }
-    }
-}
-
 // Splitting a prompt charges its causal attention, KV appends and SFU
 // work exactly once: two 320-token chunks sum to the 640-token
 // one-chunk prefill op for op, while each chunk streams every weight

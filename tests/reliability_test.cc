@@ -131,10 +131,12 @@ TEST(ReliabilityFaultModel, PerPlaneDrawFallsBackToUniform)
     spec.seed = 5;
     FaultModel a(spec), b(spec);
     // Without a wear source the per-plane draw must replay the
-    // uniform draw's random stream exactly.
-    EXPECT_FALSE(b.wearAware());
+    // uniform draw's random stream exactly, whichever plane it names.
     for (int i = 0; i < 2000; ++i)
-        ASSERT_EQ(a.drawRetries(), b.drawRetriesForPlane(3, 1, 0))
+        ASSERT_EQ(a.drawRetries(),
+                  b.drawRetriesForPlane(std::uint32_t(i % 4),
+                                        std::uint32_t(i % 3),
+                                        std::uint32_t(i % 2)))
             << "draw " << i;
     EXPECT_EQ(a.drawsTaken(), b.drawsTaken());
 }
@@ -154,18 +156,26 @@ TEST(ReliabilityFaultModel, WornPlanesFailMoreThanFreshOnes)
     spec.seed = 9;
     FaultModel m(spec, g.page_bytes);
     m.setWearSource(&place);
-    EXPECT_TRUE(m.wearAware());
+    // The same spec without a wear source draws at the uniform
+    // spec-level wear, which lies inside the seeded gradient.
+    FaultModel uniform(spec, g.page_bytes);
 
     // Draw many reads against the least- and most-worn planes: the
-    // worn end of the gradient must retry more in aggregate.
-    std::uint64_t fresh = 0, worn = 0;
+    // worn end of the gradient must retry more in aggregate, and the
+    // attached wear source must move both ends off the uniform draw.
+    std::uint64_t fresh = 0, worn = 0, flat = 0;
     const std::uint32_t last_die = g.diesPerChannel() - 1;
     for (int i = 0; i < 4000; ++i) {
         fresh += m.drawRetriesForPlane(0, 0, 0);
         worn += m.drawRetriesForPlane(g.channels - 1, last_die,
                                       g.planes_per_die - 1);
+        flat += uniform.drawRetriesForPlane(0, 0, 0);
+        flat += uniform.drawRetriesForPlane(g.channels - 1, last_die,
+                                            g.planes_per_die - 1);
     }
     EXPECT_GT(worn, fresh);
+    EXPECT_LT(2 * fresh, flat);
+    EXPECT_GT(2 * worn, flat);
 }
 
 TEST(ReliabilityFaultModel, PerPlaneDrawsFollowWearStateChanges)

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/area_model.h"
 #include "core/cost_model.h"
 #include "core/energy.h"
@@ -71,6 +73,78 @@ TEST(Engine, DecodeAndPrefillReproduceGoldenStats)
     EXPECT_DOUBLE_EQ(p.tokens_per_s, 166.06079472202333);
     EXPECT_TRUE(p.extrapolated);
     EXPECT_EQ(p.simulated_layers, 4u);
+}
+
+// Golden generate() stats. A request {prompt P, decode_tokens R}
+// serves its decode steps at kv_base P .. P+R-1, and generate()
+// integrates the reply from the two endpoint steps of that range, so
+// these values pin which contexts the endpoints attend over.
+TEST(Engine, GenerateReproducesGoldenStats)
+{
+    struct Golden
+    {
+        std::uint32_t prompt, reply;
+        Tick first_time;
+        std::uint64_t first_dram;
+        double first_flops;
+        Tick last_time;
+        std::uint64_t last_dram;
+        double last_flops;
+        Tick total_time;
+        double decode_tok_s;
+    };
+    struct Case
+    {
+        CamConfig cfg;
+        llm::ModelConfig model;
+        Golden golden[3];
+    };
+    const Case cases[] = {
+        {presetS(),
+         llm::opt6_7b(),
+         {{128, 32, 284190719u, 34078720u, 4205978624.0, 284224895u,
+           42205184u, 4222263296.0, 10028026800u, 3.5185521838954972},
+          {64, 1024, 284190719u, 17301504u, 4172358656.0, 290647039u,
+           285474816u, 4709752832.0, 295219811632u, 3.479242572649516},
+          {1000, 7, 290028415u, 262668288u, 4664050688.0, 290097151u,
+           264241152u, 4667202560.0, 8215457001u, 3.44752949570921}}},
+        {presetL(),
+         llm::llama2_70b(),
+         {{128, 32, 249625988u, 21299200u, 13346886656.0, 249797828u,
+           26378240u, 13428310016.0, 14447328176u, 4.004614789936249},
+          {64, 1024, 249110468u, 10813440u, 13178786816.0, 255984068u,
+           178421760u, 15865757696.0, 261864653488u,
+           3.9596547922268557},
+          {1000, 7, 255296708u, 164167680u, 15637246976.0, 255468548u,
+           165150720u, 15653006336.0, 53858318348u,
+           3.915693122243225}}},
+        {presetM(),
+         llm::llama2_13b(),
+         {{128, 32, 170086780u, 53248000u, 4770008640.0, 170430460u,
+           65945600u, 4795453440.0, 6608702816u, 5.8734177453100465},
+          {64, 1024, 169352860u, 27033600u, 4717477440.0, 180654940u,
+           446054400u, 5557155840.0, 180085479856u,
+           5.7141583701848928},
+          {1000, 7, 179709820u, 410419200u, 5485746240.0, 179795740u,
+           412876800u, 5490671040.0, 10127993636u,
+           5.5631962966024782}}},
+    };
+    for (const Case &c : cases) {
+        const CambriconEngine e(c.cfg, c.model);
+        for (const Golden &g : c.golden) {
+            SCOPED_TRACE(c.model.name + " P=" + std::to_string(g.prompt) +
+                         " R=" + std::to_string(g.reply));
+            const GenerateStats s = e.generate(g.prompt, g.reply);
+            EXPECT_EQ(s.first_decode.token_time, g.first_time);
+            EXPECT_EQ(s.first_decode.dram_bytes, g.first_dram);
+            EXPECT_DOUBLE_EQ(s.first_decode.npu_flops, g.first_flops);
+            EXPECT_EQ(s.last_decode.token_time, g.last_time);
+            EXPECT_EQ(s.last_decode.dram_bytes, g.last_dram);
+            EXPECT_DOUBLE_EQ(s.last_decode.npu_flops, g.last_flops);
+            EXPECT_EQ(s.total_time, g.total_time);
+            EXPECT_DOUBLE_EQ(s.decode_tokens_per_s, g.decode_tok_s);
+        }
+    }
 }
 
 TEST(Engine, WeightTrafficConservation)

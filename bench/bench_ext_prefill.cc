@@ -66,8 +66,8 @@ main()
     }
 
     {
-        // The serving scheduler drives prefill through
-        // llm::buildPrefillChunkGraph; cross-check that one chunk
+        // The serving scheduler drives prefill as chunk units
+        // (llm::buildUnitGraph); cross-check that one chunk
         // covering the whole prompt replays the classic one-shot
         // prefill to the tick, then show the chunking overhead curve
         // (re-streamed KV + per-chunk drains) the interleave policy

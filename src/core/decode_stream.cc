@@ -78,11 +78,12 @@ const std::vector<std::uint64_t> &
 DecodeStream::kvSegmentsFor(const llm::Op &op)
 {
     // Map the op onto its logical token range: attention streams the
-    // whole context it spans from token 0; an append writes the
-    // positions this unit produced.
+    // kv_base + tokens entries it spans from token 0; an append writes
+    // the positions this unit produced.
     const bool append = op.kind == llm::OpKind::KvAppend;
     const std::uint32_t start = append ? unit_.kv_base : 0;
-    const std::uint32_t count = append ? unit_.tokens : ctx_;
+    const std::uint32_t count =
+        append ? unit_.tokens : unit_.kv_base + unit_.tokens;
     kv_segs_.clear();
     llm::kvSegmentBytes(kv_view_, op.kv_bytes, start, count,
                         kv_segs_);
@@ -130,17 +131,8 @@ DecodeStream::startUnit(const Unit &unit, TokenDone done)
     if (extrapolate)
         CAMLLM_ASSERT(layers >= 3,
                       "need >= 3 sampled layers to extrapolate");
-    // A chunk's attention is causal over its own positions too; a
-    // decode step's spans the kv_base entries already written.
-    if (prefillMode()) {
-        ctx_ = unit.kv_base + unit.tokens;
-        graph_ = llm::buildPrefillChunkGraph(model, unit.tokens,
-                                             unit.kv_base, quant_, layers,
-                                             unit.emits_token);
-    } else {
-        ctx_ = unit.kv_base;
-        graph_ = llm::buildDecodeGraph(model, ctx_, quant_, layers);
-    }
+    graph_ = llm::buildUnitGraph(model, unit.kv_base, unit.tokens, quant_,
+                                 layers, unit.emits_token);
 
     const std::size_t n = graph_.ops.size();
     st_.assign(n, OpState{});

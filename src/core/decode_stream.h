@@ -61,11 +61,12 @@ class DecodeStream
 
     /**
      * One unit of device work: `tokens` positions written on top of
-     * `kv_base` KV entries already resident. A decode step is
-     * (Decode, seq, 1); a prefill or recompute chunk is chunk_len
-     * prompt positions at the KV its earlier chunks wrote. The class
-     * tags every flash transfer the unit submits, so re-streamed
-     * recompute weights are accounted apart from first-pass prefill.
+     * `kv_base` KV entries already resident. A decode step at
+     * context n is (Decode, n, 1); a prefill or recompute chunk is
+     * chunk_len prompt positions at the KV its earlier chunks wrote.
+     * The class tags every flash transfer the unit submits, so
+     * re-streamed recompute weights are accounted apart from
+     * first-pass prefill.
      */
     struct Unit
     {
@@ -98,12 +99,13 @@ class DecodeStream
     DecodeStream &operator=(const DecodeStream &) = delete;
 
     /**
-     * Begin @p unit at the current tick. A prefill-class unit
-     * (Prefill, Recompute) runs its batched GeMMs wholly on the NPU,
-     * appends its own K/V and attends causally over kv_base + tokens
-     * entries; a decode step splits each GeMV between flash and NPU
-     * and attends over its kv_base entries. @p done fires from inside
-     * the simulation when the unit's last op completes.
+     * Begin @p unit at the current tick. Every unit appends its own
+     * K/V and attends causally over kv_base + tokens entries
+     * (llm::buildUnitGraph). Where its GeMVs run follows its class: a
+     * prefill-class unit (Prefill, Recompute) runs its batched GeMMs
+     * wholly on the NPU, a decode step splits each GeMV between flash
+     * and NPU by the hybrid tile plan. @p done fires from inside the
+     * simulation when the unit's last op completes.
      */
     void startUnit(const Unit &unit, TokenDone done);
 
@@ -185,8 +187,7 @@ class DecodeStream
     const llm::KvView kv_view_;
     std::vector<std::uint64_t> kv_segs_; ///< kvSegmentsFor scratch
 
-    Unit unit_;            ///< the unit in flight
-    std::uint32_t ctx_ = 0; ///< KV entries the unit's attention spans
+    Unit unit_; ///< the unit in flight
     TokenDone done_;
     bool done_ops_all_ = true;
     bool aborted_ = false;

@@ -93,9 +93,12 @@ CambriconEngine::generate(std::uint32_t prompt_len,
     g.prefill = prefill(prompt_len);
 
     // Decode cost is affine in the context length (the DRAM KV term),
-    // so two endpoint decode steps integrate the whole reply.
-    g.first_decode = serveOne(*sched_, decodeAt(prompt_len + 1));
-    g.last_decode = serveOne(*sched_, decodeAt(prompt_len + reply_len));
+    // so two endpoint decode steps integrate the whole reply: the
+    // reply's steps run at kv_base prompt_len .. prompt_len + reply_len
+    // - 1, as the scheduler serves them.
+    g.first_decode = serveOne(*sched_, decodeAt(prompt_len));
+    g.last_decode =
+        serveOne(*sched_, decodeAt(prompt_len + reply_len - 1));
 
     const Tick avg =
         (g.first_decode.token_time + g.last_decode.token_time) / 2;

@@ -102,8 +102,8 @@ struct TokenStats
 struct GenerateStats
 {
     TokenStats prefill;      ///< prompt ingestion (one pass)
-    TokenStats first_decode; ///< decode step right after the prompt
-    TokenStats last_decode;  ///< decode step at the final context
+    TokenStats first_decode; ///< decode step at context prompt
+    TokenStats last_decode;  ///< decode step at context prompt+reply-1
     Tick total_time = 0;     ///< prefill + all decode steps
     double decode_tokens_per_s = 0.0;
 
@@ -136,9 +136,10 @@ class CambriconEngine
 
     /**
      * A whole exchange: prefill of @p prompt_len tokens then
-     * @p reply_len decode steps with the KV cache growing. Decode cost
-     * is affine in context length, so the reply time integrates two
-     * endpoint decode steps (trapezoid rule), each served alone.
+     * @p reply_len decode steps with the KV cache growing, at contexts
+     * prompt_len .. prompt_len + reply_len - 1. Decode cost is affine
+     * in context length, so the reply time integrates the two endpoint
+     * decode steps (trapezoid rule), each served alone.
      */
     GenerateStats generate(std::uint32_t prompt_len,
                            std::uint32_t reply_len) const;

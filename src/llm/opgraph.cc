@@ -45,14 +45,9 @@ namespace {
 class Builder
 {
   public:
-    /**
-     * @p seq is the context length in decode mode and the chunk length
-     * in prefill mode; @p kv_base is the KV entries already written by
-     * earlier prefill chunks (0 for decode and whole-prompt prefill).
-     */
-    Builder(const ModelConfig &m, std::uint32_t seq, const QuantSpec &q,
-            bool prefill = false, std::uint32_t kv_base = 0)
-        : m_(m), seq_(seq), kv_base_(kv_base), q_(q), prefill_(prefill)
+    Builder(const ModelConfig &m, std::uint32_t kv_base,
+            std::uint32_t tokens, const QuantSpec &q)
+        : m_(m), kv_base_(kv_base), tokens_(tokens), q_(q)
     {
     }
 
@@ -87,7 +82,7 @@ class Builder
         op.layer = layer;
         op.rows = rows;
         op.cols = cols;
-        op.npu_compute_scale = prefill_ ? double(seq_) : 1.0;
+        op.npu_compute_scale = double(tokens_);
         op.deps = std::move(deps);
         return add(std::move(op));
     }
@@ -100,11 +95,10 @@ class Builder
         const std::uint64_t kvp = m_.kvProjDim();
         const std::uint32_t act_b = q_.act_bits / 8;
 
-        // In prefill the same weights multiply every position of the
-        // chunk; in decode there is exactly one position. Attention
-        // always spans the whole accumulated context.
-        const double pos = prefill_ ? double(seq_) : 1.0;
-        const std::uint64_t ctx = std::uint64_t(kv_base_) + seq_;
+        // The same weights multiply every position of the unit, and
+        // attention spans the whole accumulated context.
+        const double pos = double(tokens_);
+        const std::uint64_t ctx = std::uint64_t(kv_base_) + tokens_;
 
         auto ln1 = sfu("ln1", l, pos * double(d), {input});
         auto q = gemv("wq", l, d, d, {ln1});
@@ -119,32 +113,28 @@ class Builder
         append.deps = {k, v};
         auto ap = add(std::move(append));
 
-        // Attention scores: q . K^T. In decode the K stream comes from
-        // DRAM; in prefill position j of the chunk attends causally to
-        // kv_base + j + 1 keys, so the chunk's score MACs sum to
-        // pos * (2*kv_base + pos + 1) / 2 per attention dimension (2
-        // flops per MAC) while K makes one DRAM round trip per chunk
-        // (FlashAttention-style tiling keeps the working set on chip).
-        // The causal sum telescopes across chunks — splitting a prompt
-        // changes only the re-streamed KV bytes and per-chunk drains,
-        // never the attention compute charged — and a mid-prompt chunk
-        // re-streams the kv_base entries earlier chunks wrote, so its
-        // KV load covers ctx, not just the chunk.
+        // Attention scores: q . K^T. Position j of the unit attends
+        // causally to kv_base + j + 1 keys, its own included, so the
+        // unit's score MACs sum to pos * (2*kv_base + pos + 1) / 2 per
+        // attention dimension (2 flops per MAC) while K makes one DRAM
+        // round trip per unit (FlashAttention-style tiling keeps the
+        // working set on chip). The causal sum telescopes across
+        // units — splitting a prompt, or decoding token by token,
+        // changes only the re-streamed KV bytes and per-unit drains,
+        // never the attention compute charged — and the KV load covers
+        // the kv_base entries earlier units wrote plus the unit's own.
         Op score;
         score.kind = OpKind::KvLoadCompute;
         score.name = "attn_score";
         score.layer = l;
         score.kv_bytes = ctx * kvp * act_b;
-        score.flops =
-            prefill_ ? pos * (2.0 * kv_base_ + pos + 1.0) * double(d)
-                     : 2.0 * double(ctx) * double(d);
+        score.flops = pos * (2.0 * kv_base_ + pos + 1.0) * double(d);
         score.deps = {q, ap};
         auto sc = add(std::move(score));
 
         auto sm = sfu("softmax", l,
-                      prefill_ ? double(m_.n_heads) * pos *
-                                     (2.0 * kv_base_ + pos + 1.0) / 2.0
-                               : double(m_.n_heads) * double(ctx),
+                      double(m_.n_heads) * pos *
+                          (2.0 * kv_base_ + pos + 1.0) / 2.0,
                       {sc});
 
         Op attn_ctx;
@@ -175,22 +165,22 @@ class Builder
     }
 
     DecodeGraph
-    build(std::uint32_t layers_to_build, bool with_head = true)
+    build(std::uint32_t layers_to_build, bool with_head)
     {
         // The token embedding lookup is a single page read; it is
         // negligible next to billions of weight reads and is folded
         // into the first norm.
-        const double pos = prefill_ ? double(seq_) : 1.0;
-        auto cur = sfu("embed", 0, pos * double(m_.d_model), {});
+        auto cur = sfu("embed", 0, double(tokens_) * double(m_.d_model),
+                       {});
         for (std::uint32_t l = 0; l < layers_to_build; ++l)
             cur = layer(l, cur);
-        // Mid-prompt prefill chunks emit no token: they only deposit
-        // KV, so they skip the final norm and the head projection.
+        // A unit that emits no token (a mid-prompt or recompute chunk)
+        // only deposits KV, so it skips the final norm and the head.
         if (with_head) {
             auto fin = sfu("final_norm", layers_to_build - 1,
                            double(m_.d_model), {cur});
-            // The lm_head projects only the final position, even in
-            // prefill, so its compute scale stays 1.
+            // The lm_head projects only the final position, so its
+            // compute scale stays 1.
             auto head = gemv("lm_head", ~std::uint32_t(0), m_.vocab,
                              m_.d_model, {fin});
             g_.ops[head].npu_compute_scale = 1.0;
@@ -201,25 +191,25 @@ class Builder
 
   private:
     const ModelConfig &m_;
-    std::uint32_t seq_;
     std::uint32_t kv_base_;
+    std::uint32_t tokens_;
     QuantSpec q_;
-    bool prefill_;
     DecodeGraph g_;
 };
 
 } // namespace
 
 DecodeGraph
-buildDecodeGraph(const ModelConfig &model, std::uint32_t seq,
-                 const QuantSpec &quant, std::uint32_t layers_to_build)
+buildUnitGraph(const ModelConfig &model, std::uint32_t kv_base,
+               std::uint32_t tokens, const QuantSpec &quant,
+               std::uint32_t layers_to_build, bool with_head)
 {
     CAMLLM_ASSERT(model.valid(), "invalid model %s", model.name.c_str());
     CAMLLM_ASSERT(layers_to_build > 0 &&
                   layers_to_build <= model.n_layers);
-    CAMLLM_ASSERT(seq > 0);
-    Builder b(model, seq, quant);
-    return b.build(layers_to_build);
+    CAMLLM_ASSERT(tokens > 0);
+    Builder b(model, kv_base, tokens, quant);
+    return b.build(layers_to_build, with_head);
 }
 
 void
@@ -250,19 +240,6 @@ kvSegmentBytes(const KvView &view, std::uint64_t bytes,
         left -= seg;
         tok += n;
     }
-}
-
-DecodeGraph
-buildPrefillChunkGraph(const ModelConfig &model, std::uint32_t chunk_len,
-                       std::uint32_t kv_base, const QuantSpec &quant,
-                       std::uint32_t layers_to_build, bool last_chunk)
-{
-    CAMLLM_ASSERT(model.valid(), "invalid model %s", model.name.c_str());
-    CAMLLM_ASSERT(layers_to_build > 0 &&
-                  layers_to_build <= model.n_layers);
-    CAMLLM_ASSERT(chunk_len > 0);
-    Builder b(model, chunk_len, quant, /*prefill=*/true, kv_base);
-    return b.build(layers_to_build, /*with_head=*/last_chunk);
 }
 
 } // namespace camllm::llm

@@ -1,6 +1,9 @@
 /**
  * @file
- * Decode-phase operation graph for one token.
+ * Operation graph for one unit of device work: `tokens` positions
+ * written on top of `kv_base` KV entries already resident. A decode
+ * step is a one-token unit at kv_base = its context; a prefill or
+ * recompute chunk is its chunk of prompt positions.
  *
  * Mirrors Figure 5 of the paper: GeMV operations that read model
  * weights are co-computed by NPU + flash; attention operations over
@@ -29,7 +32,7 @@ enum class OpKind
     Sfu            ///< softmax / norm / activation on the SFU
 };
 
-/** One node of the decode graph. */
+/** One node of a unit's graph. */
 struct Op
 {
     OpKind kind = OpKind::Sfu;
@@ -48,9 +51,9 @@ struct Op
     double sfu_elems = 0.0;
 
     /**
-     * NPU-compute multiplier for GemvWeight ops: 1 in decode, the
-     * prompt length in prefill (weights stream once but multiply
-     * against every prompt position).
+     * NPU-compute multiplier for GemvWeight ops: the unit's token
+     * count (weights stream once but multiply against every position
+     * of the unit); 1 for the lm_head, which projects only the last.
      */
     double npu_compute_scale = 1.0;
 
@@ -59,7 +62,7 @@ struct Op
     std::uint64_t weightElems() const { return rows * cols; }
 };
 
-/** Whole-token decode graph plus summary accessors. */
+/** One unit's op graph plus summary accessors. */
 struct DecodeGraph
 {
     std::vector<Op> ops;
@@ -82,33 +85,24 @@ struct DecodeGraph
 };
 
 /**
- * Build the decode graph for @p layers_to_build layers of @p model at
- * context length @p seq, ending with the lm_head projection.
- * @p layers_to_build lets the engine simulate a sample of identical
- * layers and extrapolate; pass model.n_layers for the full graph.
+ * Build the graph of one unit: @p tokens positions processed on top
+ * of @p kv_base tokens whose K/V entries earlier units already wrote,
+ * for @p layers_to_build layers of @p model (a sample of identical
+ * layers the stream extrapolates; model.n_layers for the full graph).
+ * The weight GeMVs stream each matrix once and multiply it against
+ * every position (npu_compute_scale = tokens); the unit appends its
+ * own KV entries and attends causally over kv_base + tokens, so
+ * position j of the unit scores kv_base + j + 1 keys, its own
+ * included; SFU work scales with the tokens. Only a unit that emits a
+ * token (@p with_head: every decode step and a prompt's last chunk)
+ * ends with the final norm and the lm_head projection. A decode step
+ * at context n is (kv_base n, tokens 1); a whole prompt in one chunk
+ * is (kv_base 0, tokens prompt).
  */
-DecodeGraph buildDecodeGraph(const ModelConfig &model, std::uint32_t seq,
-                             const QuantSpec &quant,
-                             std::uint32_t layers_to_build);
-
-/**
- * Build one chunk of a chunked prefill: @p chunk_len prompt positions
- * processed on top of @p kv_base tokens whose K/V entries earlier
- * chunks already wrote. The chunk has the decode graph's weight GeMVs
- * (weights stream through the device once, multiplied against every
- * position — npu_compute_scale = chunk_len), appends its own KV
- * entries, charges causal attention over the full kv_base + chunk_len
- * context, and scales SFU work by the chunk. Only the last chunk
- * (@p last_chunk) carries the final norm and the lm_head projection —
- * that completion emits the request's first token. kv_base == 0 with
- * last_chunk is the whole prompt as one chunk (one-shot prefill).
- */
-DecodeGraph buildPrefillChunkGraph(const ModelConfig &model,
-                                   std::uint32_t chunk_len,
-                                   std::uint32_t kv_base,
-                                   const QuantSpec &quant,
-                                   std::uint32_t layers_to_build,
-                                   bool last_chunk = true);
+DecodeGraph buildUnitGraph(const ModelConfig &model, std::uint32_t kv_base,
+                           std::uint32_t tokens, const QuantSpec &quant,
+                           std::uint32_t layers_to_build,
+                           bool with_head = true);
 
 /**
  * Block-table view of one request's KV stream. With block_tokens == 0
@@ -133,10 +127,8 @@ struct KvView
  * sizes under @p view, appended to @p out. Bytes are apportioned
  * per token (bytes / count each, remainder on the last segment), so
  * the segment sum is always exactly @p bytes. A contiguous view (or a
- * range inside one block) yields a single segment — the decode graph
- * and the prefill-chunk graph rebind their KV traffic through this
- * one helper, which is what keeps the one-giant-block path
- * bit-identical to contiguous KV.
+ * range inside one block) yields a single segment, which is what
+ * keeps the one-giant-block path bit-identical to contiguous KV.
  */
 void kvSegmentBytes(const KvView &view, std::uint64_t bytes,
                     std::uint32_t start_tok, std::uint32_t count,

@@ -28,17 +28,17 @@ TEST(OpGraphStructure, OpCountsPerLayer)
     auto q = llm::QuantSpec::of(llm::QuantMode::W8A8);
     // Standard FFN: ln1, q, k, v, append, score, softmax, context, o,
     // ln2, fc1, gelu, fc2 = 13 ops per layer (+3 global).
-    auto g_opt = llm::buildDecodeGraph(llm::opt6_7b(), 16, q, 4);
+    auto g_opt = llm::buildUnitGraph(llm::opt6_7b(), 16, 1, q, 4);
     EXPECT_EQ(g_opt.ops.size(), 4u * 13 + 3);
     // Gated FFN adds one GeMV: 14 per layer.
-    auto g_llama = llm::buildDecodeGraph(llm::llama2_7b(), 16, q, 4);
+    auto g_llama = llm::buildUnitGraph(llm::llama2_7b(), 16, 1, q, 4);
     EXPECT_EQ(g_llama.ops.size(), 4u * 14 + 3);
 }
 
 TEST(OpGraphStructure, EveryNonRootOpHasDeps)
 {
     auto q = llm::QuantSpec::of(llm::QuantMode::W8A8);
-    auto g = llm::buildDecodeGraph(llm::opt6_7b(), 16, q, 2);
+    auto g = llm::buildUnitGraph(llm::opt6_7b(), 16, 1, q, 2);
     for (std::size_t i = 1; i < g.ops.size(); ++i)
         EXPECT_FALSE(g.ops[i].deps.empty()) << g.ops[i].name;
 }
@@ -47,7 +47,7 @@ TEST(OpGraphStructure, EveryOpReachable)
 {
     // Walking dependents from the root must reach the lm_head.
     auto q = llm::QuantSpec::of(llm::QuantMode::W8A8);
-    auto g = llm::buildDecodeGraph(llm::llama2_7b(), 16, q, 3);
+    auto g = llm::buildUnitGraph(llm::llama2_7b(), 16, 1, q, 3);
     std::vector<bool> reach(g.ops.size(), false);
     reach[0] = true;
     for (std::size_t i = 1; i < g.ops.size(); ++i)
@@ -61,7 +61,7 @@ TEST(OpGraphStructure, TotalFlopsNearTwiceParams)
 {
     auto q = llm::QuantSpec::of(llm::QuantMode::W8A8);
     llm::ModelConfig m = llm::opt6_7b();
-    auto g = llm::buildDecodeGraph(m, 512, q, m.n_layers);
+    auto g = llm::buildUnitGraph(m, 512, 1, q, m.n_layers);
     // Decode flops ~ 2 * weight params (+ small attention/SFU terms).
     const double ratio =
         g.totalFlops() / (2.0 * double(m.decodeWeightParams()));
@@ -72,7 +72,7 @@ TEST(OpGraphStructure, TotalFlopsNearTwiceParams)
 TEST(OpGraphStructure, GqaShrinksKvOps)
 {
     auto q = llm::QuantSpec::of(llm::QuantMode::W8A8);
-    auto g70 = llm::buildDecodeGraph(llm::llama2_70b(), 100, q, 1);
+    auto g70 = llm::buildUnitGraph(llm::llama2_70b(), 100, 1, q, 1);
     std::uint64_t kv_rows = 0;
     for (const auto &op : g70.ops)
         if (op.name == "wk")

@@ -28,8 +28,8 @@ TEST(PrefillGraph, SameWeightsAsDecode)
 {
     llm::ModelConfig m = llm::opt6_7b();
     auto q = llm::QuantSpec::of(llm::QuantMode::W8A8);
-    auto d = llm::buildDecodeGraph(m, 256, q, m.n_layers);
-    auto p = llm::buildPrefillChunkGraph(m, 256, 0, q, m.n_layers);
+    auto d = llm::buildUnitGraph(m, 256, 1, q, m.n_layers);
+    auto p = llm::buildUnitGraph(m, 0, 256, q, m.n_layers);
     EXPECT_EQ(d.totalWeightElems(), p.totalWeightElems());
 }
 
@@ -37,7 +37,7 @@ TEST(PrefillGraph, GemvComputeScaleIsPromptLength)
 {
     llm::ModelConfig m = llm::opt6_7b();
     auto q = llm::QuantSpec::of(llm::QuantMode::W8A8);
-    auto g = llm::buildPrefillChunkGraph(m, 128, 0, q, 2);
+    auto g = llm::buildUnitGraph(m, 0, 128, q, 2);
     for (const auto &op : g.ops) {
         if (op.kind != llm::OpKind::GemvWeight)
             continue;
@@ -52,8 +52,8 @@ TEST(PrefillGraph, AttentionFlopsQuadratic)
 {
     llm::ModelConfig m = llm::opt6_7b();
     auto q = llm::QuantSpec::of(llm::QuantMode::W8A8);
-    auto g1 = llm::buildPrefillChunkGraph(m, 128, 0, q, 1);
-    auto g2 = llm::buildPrefillChunkGraph(m, 256, 0, q, 1);
+    auto g1 = llm::buildUnitGraph(m, 0, 128, q, 1);
+    auto g2 = llm::buildUnitGraph(m, 0, 256, q, 1);
     auto attn_flops = [](const llm::DecodeGraph &g) {
         double f = 0.0;
         for (const auto &op : g.ops)

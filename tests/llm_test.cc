@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the LLM workload module: model configs vs published
- * parameter counts, quantization byte math, the decode op graph, the
+ * parameter counts, quantization byte math, the unit op graph, the
  * functional kernels and the synthetic transformer.
  */
 
@@ -137,7 +137,7 @@ TEST(OpGraph, WeightElementsMatchClosedForm)
 {
     ModelConfig m = opt6_7b();
     QuantSpec q = QuantSpec::of(QuantMode::W8A8);
-    DecodeGraph g = buildDecodeGraph(m, 512, q, m.n_layers);
+    DecodeGraph g = buildUnitGraph(m, 512, 1, q, m.n_layers);
     EXPECT_EQ(g.totalWeightElems(), m.decodeWeightParams());
 }
 
@@ -145,7 +145,7 @@ TEST(OpGraph, WeightElementsMatchClosedFormGated)
 {
     ModelConfig m = llama2_70b();
     QuantSpec q = QuantSpec::of(QuantMode::W8A8);
-    DecodeGraph g = buildDecodeGraph(m, 1000, q, m.n_layers);
+    DecodeGraph g = buildUnitGraph(m, 1000, 1, q, m.n_layers);
     EXPECT_EQ(g.totalWeightElems(), m.decodeWeightParams());
 }
 
@@ -154,20 +154,21 @@ TEST(OpGraph, KvLoadBytesMatchCache)
     ModelConfig m = opt6_7b();
     QuantSpec q = QuantSpec::of(QuantMode::W8A8);
     const std::uint32_t seq = 512;
-    DecodeGraph g = buildDecodeGraph(m, seq, q, m.n_layers);
-    // Score + context each stream half the KV cache per layer.
-    EXPECT_EQ(g.totalKvLoadBytes(), m.kvCacheBytes(seq, 1));
+    DecodeGraph g = buildUnitGraph(m, seq, 1, q, m.n_layers);
+    // Score + context each stream half the KV cache per layer; the
+    // step attends to its own new entry too.
+    EXPECT_EQ(g.totalKvLoadBytes(), m.kvCacheBytes(seq + 1, 1));
 }
 
 TEST(OpGraph, ActivationWidthScalesKvBytes)
 {
     ModelConfig m = opt6_7b();
-    DecodeGraph g8 = buildDecodeGraph(m, 256,
-                                      QuantSpec::of(QuantMode::W8A8),
-                                      m.n_layers);
-    DecodeGraph g16 = buildDecodeGraph(m, 256,
-                                       QuantSpec::of(QuantMode::W4A16),
-                                       m.n_layers);
+    DecodeGraph g8 = buildUnitGraph(m, 256, 1,
+                                    QuantSpec::of(QuantMode::W8A8),
+                                    m.n_layers);
+    DecodeGraph g16 = buildUnitGraph(m, 256, 1,
+                                     QuantSpec::of(QuantMode::W4A16),
+                                     m.n_layers);
     EXPECT_EQ(g16.totalKvLoadBytes(), 2 * g8.totalKvLoadBytes());
 }
 
@@ -175,7 +176,7 @@ TEST(OpGraph, GatedFfnHasThreeMatrices)
 {
     ModelConfig m = llama2_7b();
     QuantSpec q = QuantSpec::of(QuantMode::W8A8);
-    DecodeGraph g = buildDecodeGraph(m, 16, q, 1);
+    DecodeGraph g = buildUnitGraph(m, 16, 1, q, 1);
     int ffn_gemvs = 0;
     for (const auto &op : g.ops)
         if (op.kind == OpKind::GemvWeight &&
@@ -189,7 +190,7 @@ TEST(OpGraph, DepsAreAcyclicAndBackward)
 {
     ModelConfig m = llama2_7b();
     QuantSpec q = QuantSpec::of(QuantMode::W8A8);
-    DecodeGraph g = buildDecodeGraph(m, 64, q, 3);
+    DecodeGraph g = buildUnitGraph(m, 64, 1, q, 3);
     for (std::uint32_t i = 0; i < g.ops.size(); ++i)
         for (std::uint32_t d : g.ops[i].deps)
             EXPECT_LT(d, i);
@@ -199,7 +200,7 @@ TEST(OpGraph, EndsWithLmHead)
 {
     ModelConfig m = opt13b();
     QuantSpec q = QuantSpec::of(QuantMode::W8A8);
-    DecodeGraph g = buildDecodeGraph(m, 64, q, 4);
+    DecodeGraph g = buildUnitGraph(m, 64, 1, q, 4);
     const Op &last = g.ops[g.lastOp()];
     EXPECT_EQ(last.kind, OpKind::GemvWeight);
     EXPECT_EQ(last.rows, m.vocab);
@@ -210,8 +211,8 @@ TEST(OpGraph, SampledGraphScalesLinearly)
 {
     ModelConfig m = opt6_7b();
     QuantSpec q = QuantSpec::of(QuantMode::W8A8);
-    DecodeGraph g2 = buildDecodeGraph(m, 64, q, 2);
-    DecodeGraph g4 = buildDecodeGraph(m, 64, q, 4);
+    DecodeGraph g2 = buildUnitGraph(m, 64, 1, q, 2);
+    DecodeGraph g4 = buildUnitGraph(m, 64, 1, q, 4);
     const std::uint64_t head = std::uint64_t(m.vocab) * m.d_model;
     EXPECT_EQ((g4.totalWeightElems() - head) / 4,
               (g2.totalWeightElems() - head) / 2);
@@ -220,18 +221,20 @@ TEST(OpGraph, SampledGraphScalesLinearly)
 // Splitting a prompt charges its causal attention, KV appends and SFU
 // work exactly once: two 320-token chunks sum to the 640-token
 // one-chunk prefill op for op, while each chunk streams every weight
-// matrix again at its own share of the compute scale.
+// matrix again at its own share of the compute scale. A decode step is
+// a one-token unit at kv_base = its context, so the causal sum
+// telescopes through decode too.
 TEST(OpGraph, SplitPrefillChargesTheWholePromptOnce)
 {
+    const QuantSpec q = QuantSpec::of(QuantMode::W8A8);
     for (const ModelConfig &m : {opt6_7b(), llama2_70b()}) {
-        const QuantSpec q = QuantSpec::of(QuantMode::W8A8);
         const DecodeGraph whole =
-            buildPrefillChunkGraph(m, 640, /*kv_base=*/0, q, 4);
+            buildUnitGraph(m, /*kv_base=*/0, 640, q, 4);
         const DecodeGraph head =
-            buildPrefillChunkGraph(m, 320, /*kv_base=*/0, q, 4,
-                                   /*last_chunk=*/false);
+            buildUnitGraph(m, /*kv_base=*/0, 320, q, 4,
+                           /*with_head=*/false);
         const DecodeGraph tail =
-            buildPrefillChunkGraph(m, 320, /*kv_base=*/320, q, 4);
+            buildUnitGraph(m, /*kv_base=*/320, 320, q, 4);
         ASSERT_EQ(tail.ops.size(), whole.ops.size());
         ASSERT_EQ(head.ops.size() + 2, whole.ops.size()); // no head
         for (std::size_t i = 0; i < head.ops.size(); ++i) {
@@ -257,6 +260,52 @@ TEST(OpGraph, SplitPrefillChargesTheWholePromptOnce)
             }
         }
     }
+
+    // A P-token prompt in two chunks (split drawn at random; a split
+    // at P is one chunk) plus k decode steps at kv_base P .. P+k-1
+    // charge the attention flops, softmax elements and KV-append bytes
+    // of one (P+k)-token chunk.
+    struct Charge
+    {
+        double attn_flops = 0.0;
+        double softmax_elems = 0.0;
+        std::uint64_t append_bytes = 0;
+    };
+    const auto charge = [](const DecodeGraph &g, Charge &c) {
+        for (const Op &op : g.ops) {
+            if (op.kind == OpKind::KvLoadCompute)
+                c.attn_flops += op.flops;
+            if (op.kind == OpKind::KvAppend)
+                c.append_bytes += op.kv_bytes;
+            if (op.name == "softmax")
+                c.softmax_elems += op.sfu_elems;
+        }
+    };
+    const ModelConfig models[] = {opt6_7b(), llama2_7b(), llama2_70b()};
+    Rng rng(8);
+    for (int i = 0; i < 40; ++i) {
+        const ModelConfig &m = models[rng.below(3)];
+        const auto P = std::uint32_t(1 + rng.below(2048));
+        const auto k = std::uint32_t(1 + rng.below(16));
+        const auto split = std::uint32_t(1 + rng.below(P));
+        SCOPED_TRACE(m.name + " P=" + std::to_string(P) +
+                     " k=" + std::to_string(k) +
+                     " split=" + std::to_string(split));
+        Charge parts, whole;
+        charge(buildUnitGraph(m, 0, split, q, 4, split == P), parts);
+        if (split < P)
+            charge(buildUnitGraph(m, split, P - split, q, 4), parts);
+        for (std::uint32_t n = P; n < P + k; ++n)
+            charge(buildUnitGraph(m, n, 1, q, 4), parts);
+        charge(buildUnitGraph(m, 0, P + k, q, 4), whole);
+        EXPECT_DOUBLE_EQ(parts.attn_flops, whole.attn_flops);
+        EXPECT_DOUBLE_EQ(parts.softmax_elems, whole.softmax_elems);
+        EXPECT_EQ(parts.append_bytes, whole.append_bytes);
+        // The step at context n streams n earlier entries plus its own.
+        const std::uint32_t n = P + k;
+        EXPECT_EQ(buildUnitGraph(m, n, 1, q, m.n_layers).totalKvLoadBytes(),
+                  m.kvCacheBytes(n + 1, q.act_bits / 8));
+    }
 }
 
 // Mid-prompt chunks deposit KV but emit no token: no head projection,
@@ -268,8 +317,7 @@ TEST(OpGraph, MidChunkWritesKvWithoutHead)
     const QuantSpec q = QuantSpec::of(QuantMode::W8A8);
     const std::uint32_t chunk = 256, kv_base = 512;
     const DecodeGraph g =
-        buildPrefillChunkGraph(m, chunk, kv_base, q, 3,
-                               /*last_chunk=*/false);
+        buildUnitGraph(m, kv_base, chunk, q, 3, /*with_head=*/false);
 
     for (const Op &op : g.ops)
         EXPECT_NE(op.name, "lm_head");
@@ -287,8 +335,7 @@ TEST(OpGraph, MidChunkWritesKvWithoutHead)
     }
     // Last chunk at the same base gains exactly final_norm + lm_head.
     const DecodeGraph last =
-        buildPrefillChunkGraph(m, chunk, kv_base, q, 3,
-                               /*last_chunk=*/true);
+        buildUnitGraph(m, kv_base, chunk, q, 3, /*with_head=*/true);
     EXPECT_EQ(last.ops.size(), g.ops.size() + 2);
     EXPECT_EQ(last.ops[last.lastOp()].name, "lm_head");
 }

@@ -3,8 +3,10 @@
  * Reproduction regression tests: pin every headline number of the
  * paper's evaluation to a band around the currently-measured value so
  * refactors cannot silently drift the reproduction. Bands are
- * generous where the paper's own number differs from ours (see
- * EXPERIMENTS.md), tight where we match.
+ * generous where the paper's own number differs from ours, tight
+ * where we match. The gaps are not explained yet: ROADMAP item 9
+ * (a closed-form per-token model) is to name each one and tighten
+ * its band.
  */
 
 #include <gtest/gtest.h>
